@@ -21,9 +21,15 @@
 //! - Phase-one samples are drawn at commit time in destination order — in
 //!   both modes, by the same code.
 //! - Retry/arrival samples are drawn when an entry's `due` instant arrives,
-//!   in queue order. Batched mode drains all due entries of a pair in one
-//!   event; unbatched mode processes exactly one entry per event and
+//!   in `(due, enqueue seq)` order. A wake fires exactly at the queue's
+//!   earliest `due`, so every entry it finds due shares that instant and
+//!   the order reduces to enqueue order. Batched mode pops all due entries
+//!   of a pair in one event; unbatched mode pops exactly one per event and
 //!   immediately re-arms — same entries, same order, same draw sequence.
+//! - An entry that re-samples keeps its enqueue seq and sits out the rest
+//!   of the round: it returns to the queue only once no due entry is left,
+//!   so even a zero backoff (`due == now`) defers it to the next round in
+//!   both modes (see [`PairQueue`]).
 //! - Applies never consume RNG and samples never read replica state, so the
 //!   relative order of "draw for entry B" vs "apply entry A" (the only thing
 //!   the two modes reorder within an instant) is unobservable.
@@ -34,7 +40,8 @@
 //! The satellite suite (`tests/engine_batching.rs`) pins this equivalence on
 //! visibility-probe traces across seeds and chaos plans.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::rc::Rc;
 
 use antipode_sim::{Region, SimTime};
@@ -74,13 +81,49 @@ pub(crate) struct PendingSend {
     pub(crate) origin_epoch: u64,
     pub(crate) phase: SendPhase,
     pub(crate) due: SimTime,
+    /// Enqueue order within the pair, kept across re-samples: the tie-break
+    /// that makes the heap pop same-instant entries in the order a FIFO
+    /// scan would visit them.
+    seq: u64,
 }
+
+/// Heap order: the *earliest* `(due, seq)` is the greatest element, so
+/// `BinaryHeap` (a max-heap) pops it first. `seq` is unique per pair.
+impl Ord for PendingSend {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.due, other.seq).cmp(&(self.due, self.seq))
+    }
+}
+impl PartialOrd for PendingSend {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for PendingSend {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for PendingSend {}
 
 /// The send queue of one `(origin, dest)` region pair, with at most one
 /// armed timer wake.
+///
+/// Entries live in a heap keyed by `(due, seq)`, so a wake costs
+/// O(due · log depth) instead of a scan of everything in flight. A *round*
+/// is the set of entries due at one instant: batched mode pops a whole
+/// round in one wake, unbatched mode one entry per wake. Entries that
+/// re-sample during a round park in `resampled` and rejoin the heap when the
+/// round is over — never sooner, or a zero-backoff retry would be popped
+/// again ahead of its round-mates in unbatched mode only.
 #[derive(Default)]
 pub(crate) struct PairQueue {
-    pub(crate) entries: VecDeque<PendingSend>,
+    queue: BinaryHeap<PendingSend>,
+    /// Re-sampled entries of the round in progress. Drained back into
+    /// `queue` at round end and reused, so a flush allocates nothing once
+    /// warm.
+    resampled: Vec<PendingSend>,
+    next_seq: u64,
     /// The armed wake's (deadline, generation); stale wake tasks whose
     /// generation no longer matches retire without flushing.
     armed: Option<(SimTime, u64)>,
@@ -88,6 +131,10 @@ pub(crate) struct PairQueue {
 }
 
 impl PairQueue {
+    fn len(&self) -> usize {
+        self.queue.len() + self.resampled.len()
+    }
+
     /// Tightens the armed wake to `due` if it is not already at least that
     /// early; returns the new generation to arm a flusher for, or `None`
     /// when the existing wake covers `due`.
@@ -127,7 +174,9 @@ impl<S: Substrate> Engine<S> {
             let arm = {
                 let mut pairs = self.inner.pairs.borrow_mut();
                 let pq = pairs.entry((origin, dest)).or_default();
-                pq.entries.push_back(PendingSend {
+                let seq = pq.next_seq;
+                pq.next_seq += 1;
+                pq.queue.push(PendingSend {
                     key: Rc::clone(key),
                     version,
                     value: value.clone(),
@@ -135,6 +184,7 @@ impl<S: Substrate> Engine<S> {
                     origin_epoch,
                     phase,
                     due,
+                    seq,
                 });
                 pq.tighten(due)
             };
@@ -263,27 +313,27 @@ impl<S: Substrate> Engine<S> {
         stats::count_fanout_event();
         let mut deliver = self.inner.deliver_scratch.take();
         deliver.clear();
-        // Phase transitions. Entries are scanned in queue order; samples for
+        // Phase transitions. Due entries pop in (due, seq) order; samples for
         // later entries may be drawn before earlier entries' applies run
         // (below), which is unobservable — applies consume no RNG and
         // samples read no replica state.
-        {
+        let next = {
             let mut pairs = self.inner.pairs.borrow_mut();
             let Some(pq) = pairs.get_mut(&(origin, dest)) else {
                 self.inner.deliver_scratch.replace(deliver);
                 return;
             };
             let mut budget = if batched { usize::MAX } else { 1 };
-            let mut i = 0;
-            while i < pq.entries.len() {
-                if budget == 0 {
+            let mut visited = 0;
+            while budget > 0 {
+                let Some(top) = pq.queue.peek_mut() else {
+                    break;
+                };
+                visited += 1;
+                if top.due > now {
                     break;
                 }
-                let entry = &mut pq.entries[i];
-                if entry.due > now {
-                    i += 1;
-                    continue;
-                }
+                let mut entry = PeekMut::pop(top);
                 budget -= 1;
                 let completed = match entry.phase {
                     SendPhase::Transit => true,
@@ -303,10 +353,6 @@ impl<S: Substrate> Engine<S> {
                     },
                 };
                 if completed {
-                    // lint: allow(fault-path-unwrap, `i` is bounded by the
-                    // scan loop over this queue — an invariant of the local
-                    // index arithmetic, not state a fault can perturb)
-                    let entry = pq.entries.remove(i).expect("index in bounds");
                     deliver.push(ApplyItem {
                         key: entry.key,
                         version: entry.version,
@@ -315,10 +361,16 @@ impl<S: Substrate> Engine<S> {
                         origin_epoch: entry.origin_epoch,
                     });
                 } else {
-                    i += 1;
+                    pq.resampled.push(entry);
                 }
             }
-        }
+            stats::count_pair_entries_visited(visited);
+            // Round over (nothing left due): re-sampled entries rejoin.
+            if pq.queue.peek().is_none_or(|e| e.due > now) {
+                pq.queue.extend(pq.resampled.drain(..));
+            }
+            pq.queue.peek().map(|e| e.due)
+        };
         // Terminal step, per batch: one epoch read, one fault-plan
         // consultation. Entries from a crashed origin epoch are abandoned
         // (the sending process died); suppressed batches park as hints in
@@ -362,12 +414,6 @@ impl<S: Substrate> Engine<S> {
         // Re-arm for the earliest remaining entry. In unbatched mode
         // leftover already-due entries re-arm at `now`, costing one executor
         // event each — the ablation's whole point.
-        let next = {
-            let pairs = self.inner.pairs.borrow();
-            pairs
-                .get(&(origin, dest))
-                .and_then(|pq| pq.entries.iter().map(|e| e.due).min())
-        };
         if let Some(due) = next {
             self.arm_wake(origin, dest, due.max(now));
         }
@@ -375,11 +421,6 @@ impl<S: Substrate> Engine<S> {
 
     /// Queued-but-undelivered sends across all pairs (diagnostics).
     pub(crate) fn pending_sends(&self) -> usize {
-        self.inner
-            .pairs
-            .borrow()
-            .values()
-            .map(|pq| pq.entries.len())
-            .sum()
+        self.inner.pairs.borrow().values().map(PairQueue::len).sum()
     }
 }

@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use antipode_sim::net::Network;
 use antipode_sim::rng::SimRng;
-use antipode_sim::sync::{oneshot, OneSender};
+use antipode_sim::sync::oneshot;
 use antipode_sim::{Region, Sim, SimTime};
 use bytes::Bytes;
 
@@ -30,6 +30,7 @@ use crate::probe::{VisibilityEvent, VisibilityProbe};
 use crate::recovery::{Hint, RecoveryConfig, WalEntry};
 use crate::stats;
 use crate::substrate::{stream_name, Admission, ApplyCtx, StoreError, Substrate};
+use crate::waiters::WaiterIndex;
 use crate::wal::WalLog;
 
 /// A record as held by one engine replica. The KV facade re-exposes this as
@@ -46,15 +47,6 @@ pub struct Record {
     /// Virtual time the write committed at its origin (preserved across
     /// hint flushes, WAL replay, and anti-entropy back-fills).
     pub committed_at: SimTime,
-}
-
-pub(crate) struct Waiter {
-    pub(crate) key: Rc<str>,
-    pub(crate) version: u64,
-    /// Resolved `Ok(())` when the awaited version lands, `Err(Unavailable)`
-    /// when the replica goes dark (region outage or replica crash) — so
-    /// waiters subscribed before a fault window never leak past it.
-    pub(crate) tx: OneSender<Result<(), StoreError>>,
 }
 
 /// One delivery handed to [`Engine::apply_batch`]: a send entry that
@@ -89,7 +81,9 @@ pub enum ReplicaHealth {
 #[derive(Default)]
 pub(crate) struct ReplicaState {
     pub(crate) data: BTreeMap<Rc<str>, Record>,
-    pub(crate) waiters: Vec<Waiter>,
+    /// Parked [`Engine::wait_visible`] subscriptions; see [`crate::waiters`]
+    /// for the wake-order contract.
+    pub(crate) waiters: WaiterIndex,
     /// Deterministic per-replica write-ahead log: every apply that changed
     /// the memtable, in apply order — plus, for deferred-apply families
     /// (queues), the commit itself. Framed and checksummed per record (see
@@ -589,18 +583,7 @@ impl<S: Substrate> Engine<S> {
                         state.wal_append(entry);
                     }
                 }
-                let mut i = 0;
-                while i < state.waiters.len() {
-                    if state.waiters[i].key == item.key && state.waiters[i].version <= watermark {
-                        // lint: allow(scheduler-bypass, visibility waiters are store
-                        // bookkeeping — the woken barrier future still runs only when
-                        // the executor's Schedule picks it)
-                        let w = state.waiters.swap_remove(i);
-                        let _ = w.tx.send(Ok(()));
-                    } else {
-                        i += 1;
-                    }
-                }
+                state.waiters.wake_satisfied(&item.key, watermark);
                 outcomes.push((newly_inserted, watermark));
             }
         }
@@ -668,20 +651,16 @@ impl<S: Substrate> Engine<S> {
                 let state = replicas
                     .get_mut(&region)
                     .ok_or(StoreError::NoSuchRegion(region))?;
-                let visible = state
-                    .data
-                    .get(key)
-                    .map(|v| v.version >= version)
-                    .unwrap_or(false);
-                if visible {
-                    return Ok(());
-                }
+                // A key the replica already holds (at an older version) is
+                // parked under its interned `Rc<str>`: a refcount bump, not
+                // a string copy per subscription.
+                let key: Rc<str> = match state.data.get_key_value(key) {
+                    Some((_, v)) if v.version >= version => return Ok(()),
+                    Some((interned, _)) => Rc::clone(interned),
+                    None => Rc::from(key),
+                };
                 let (tx, rx) = oneshot();
-                state.waiters.push(Waiter {
-                    key: Rc::from(key),
-                    version,
-                    tx,
-                });
+                state.waiters.subscribe(key, version, tx);
                 rx
             };
             match rx.await {

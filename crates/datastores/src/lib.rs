@@ -80,6 +80,7 @@ pub mod sns;
 pub mod speculation;
 pub mod stats;
 pub mod substrate;
+mod waiters;
 pub mod wal;
 
 pub use amq::{Amq, AmqShim};

@@ -242,10 +242,10 @@ impl<S: Substrate> Engine<S> {
             };
             state.data.clear();
             state.epoch += 1;
-            std::mem::take(&mut state.waiters)
+            state.waiters.drain_all()
         };
-        for w in cancelled {
-            let _ = w.tx.send(Err(StoreError::Unavailable {
+        for tx in cancelled {
+            let _ = tx.send(Err(StoreError::Unavailable {
                 store: self.inner.name.clone(),
                 region,
             }));
@@ -321,28 +321,13 @@ impl<S: Substrate> Engine<S> {
                 // clear it.
                 state.health = ReplicaHealth::Tainted;
             }
-            let mut woken = Vec::new();
-            if tainted {
+            let woken = if tainted {
                 // A quarantined replica serves nothing — even waiters whose
                 // versions the replayed prefix holds. Drain them all.
-                woken.extend(std::mem::take(&mut state.waiters).into_iter().map(|w| w.tx));
+                state.waiters.drain_all()
             } else {
-                let mut i = 0;
-                while i < state.waiters.len() {
-                    let satisfied = state
-                        .data
-                        .get(&state.waiters[i].key)
-                        .map(|v| v.version >= state.waiters[i].version)
-                        .unwrap_or(false);
-                    if satisfied {
-                        // lint: allow(scheduler-bypass, replaying the WAL completes store
-                        // visibility waiters — bookkeeping, not a run-next decision)
-                        woken.push(state.waiters.swap_remove(i).tx);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
+                state.waiters.drain_visible(&state.data)
+            };
             (woken, tainted)
         };
         for tx in woken {
@@ -364,12 +349,12 @@ impl<S: Substrate> Engine<S> {
         let cancelled = {
             let mut replicas = self.inner.replicas.borrow_mut();
             match replicas.get_mut(&region) {
-                Some(state) => std::mem::take(&mut state.waiters),
+                Some(state) => state.waiters.drain_all(),
                 None => return,
             }
         };
-        for w in cancelled {
-            let _ = w.tx.send(Err(StoreError::Unavailable {
+        for tx in cancelled {
+            let _ = tx.send(Err(StoreError::Unavailable {
                 store: self.inner.name.clone(),
                 region,
             }));

@@ -330,12 +330,12 @@ impl<S: Substrate> Engine<S> {
             let cancelled = {
                 let mut replicas = self.inner.replicas.borrow_mut();
                 match replicas.get_mut(&region) {
-                    Some(state) => std::mem::take(&mut state.waiters),
+                    Some(state) => state.waiters.drain_all(),
                     None => continue,
                 }
             };
-            for w in cancelled {
-                let _ = w.tx.send(Err(StoreError::IntegrityFault {
+            for tx in cancelled {
+                let _ = tx.send(Err(StoreError::IntegrityFault {
                     store: self.inner.name.clone(),
                     region,
                 }));

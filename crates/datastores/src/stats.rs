@@ -20,6 +20,8 @@ thread_local! {
     static MAX_BATCH: Cell<u64> = const { Cell::new(0) };
     static SCRUB_RECORDS: Cell<u64> = const { Cell::new(0) };
     static INTEGRITY_REFUSALS: Cell<u64> = const { Cell::new(0) };
+    static PAIR_ENTRIES_VISITED: Cell<u64> = const { Cell::new(0) };
+    static WAITER_PROBES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A snapshot of the engine-plane counters on this thread.
@@ -50,6 +52,13 @@ pub struct EngineStats {
     /// Operations refused with [`crate::replica::StoreError::IntegrityFault`]
     /// because the replica was quarantined.
     pub integrity_refusals: u64,
+    /// Pair-queue entries whose `due` a flusher wake inspected: every entry
+    /// it popped plus the first not-yet-due one that ended the wake. Stays
+    /// proportional to the work done, not to the queue's depth.
+    pub pair_entries_visited: u64,
+    /// Parked visibility waiters compared against an applied record: only
+    /// those subscribed to the record's own key.
+    pub waiter_probes: u64,
 }
 
 /// Reads the counters.
@@ -65,6 +74,8 @@ pub fn snapshot() -> EngineStats {
         max_batch: MAX_BATCH.with(Cell::get),
         scrub_records: SCRUB_RECORDS.with(Cell::get),
         integrity_refusals: INTEGRITY_REFUSALS.with(Cell::get),
+        pair_entries_visited: PAIR_ENTRIES_VISITED.with(Cell::get),
+        waiter_probes: WAITER_PROBES.with(Cell::get),
     }
 }
 
@@ -80,6 +91,8 @@ pub fn reset() {
     MAX_BATCH.with(|c| c.set(0));
     SCRUB_RECORDS.with(|c| c.set(0));
     INTEGRITY_REFUSALS.with(|c| c.set(0));
+    PAIR_ENTRIES_VISITED.with(|c| c.set(0));
+    WAITER_PROBES.with(|c| c.set(0));
 }
 
 pub(crate) fn count_commit() {
@@ -111,6 +124,14 @@ pub(crate) fn count_integrity_refusal() {
     INTEGRITY_REFUSALS.with(|c| c.set(c.get() + 1));
 }
 
+pub(crate) fn count_pair_entries_visited(n: u64) {
+    PAIR_ENTRIES_VISITED.with(|c| c.set(c.get() + n));
+}
+
+pub(crate) fn count_waiter_probes(n: u64) {
+    WAITER_PROBES.with(|c| c.set(c.get() + n));
+}
+
 pub(crate) fn count_batch_flush(batch: u64) {
     BATCH_FLUSHES.with(|c| c.set(c.get() + 1));
     MAX_BATCH.with(|c| {
@@ -136,6 +157,8 @@ mod tests {
         count_batch_flush(1);
         count_scrub_records(5);
         count_integrity_refusal();
+        count_pair_entries_visited(4);
+        count_waiter_probes(2);
         let s = snapshot();
         assert_eq!(s.commits, 1);
         assert_eq!(s.fanout_events, 1);
@@ -147,6 +170,8 @@ mod tests {
         assert_eq!(s.max_batch, 3);
         assert_eq!(s.scrub_records, 5);
         assert_eq!(s.integrity_refusals, 1);
+        assert_eq!(s.pair_entries_visited, 4);
+        assert_eq!(s.waiter_probes, 2);
         reset();
         assert_eq!(snapshot(), EngineStats::default());
     }

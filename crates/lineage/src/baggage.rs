@@ -13,6 +13,7 @@
 //!   varint-prefixed entry strings plus the lineage's self-delimiting v2
 //!   frame, with no base64 expansion and no percent-escaping.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -33,6 +34,11 @@ pub struct Baggage {
     /// entry map holds no [`LINEAGE_KEY`] entry (raw string entries — e.g.
     /// parsed headers — live in the map until decoded on demand).
     lineage: Option<Lineage>,
+    /// The lineage decoded from the raw [`LINEAGE_KEY`] entry, so a header
+    /// is decoded once however many readers extract from it (and from its
+    /// clones). Set only by [`Baggage::lineage`]; emptied by every mutator
+    /// that can change or remove the raw entry.
+    decoded: OnceCell<Lineage>,
 }
 
 /// Errors from extracting a lineage out of baggage.
@@ -88,6 +94,7 @@ impl Baggage {
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) -> Option<String> {
         let key = key.into();
         let displaced = if key == LINEAGE_KEY {
+            self.decoded.take();
             self.lineage.take().map(|l| l.wire_b64().to_string())
         } else {
             None
@@ -106,6 +113,7 @@ impl Baggage {
     /// structural lineage too, rendering it to base64 if needed).
     pub fn remove(&mut self, key: &str) -> Option<String> {
         let displaced = if key == LINEAGE_KEY {
+            self.decoded.take();
             self.lineage.take().map(|l| l.wire_b64().to_string())
         } else {
             None
@@ -129,6 +137,7 @@ impl Baggage {
     /// rendered by [`Baggage::to_header`] or [`Baggage::to_frame`].
     pub fn set_lineage(&mut self, lineage: &Lineage) {
         self.entries.remove(LINEAGE_KEY);
+        self.decoded.take();
         self.lineage = Some(lineage.clone());
     }
 
@@ -136,12 +145,13 @@ impl Baggage {
     ///
     /// A structural lineage (set by [`Baggage::set_lineage`] or decoded by
     /// [`Baggage::from_frame`]) is returned by clone. Otherwise the raw
-    /// [`LINEAGE_KEY`] entry is decoded; when that payload is canonical, the
+    /// [`LINEAGE_KEY`] entry is decoded — once: later calls clone the first
+    /// result. When that payload is canonical, the
     /// decoded lineage adopts both the wire bytes and the incoming base64
     /// string as its caches, so forwarding it unchanged into the next hop's
     /// baggage re-uses the exact header value with no re-encoding.
     pub fn lineage(&self) -> Result<Lineage, BaggageError> {
-        if let Some(l) = &self.lineage {
+        if let Some(l) = self.lineage.as_ref().or_else(|| self.decoded.get()) {
             return Ok(l.clone());
         }
         let raw = self.get(LINEAGE_KEY).ok_or(BaggageError::Missing)?;
@@ -150,6 +160,7 @@ impl Baggage {
         // Sound because `decode` is strict: `raw` is the unique base64 of
         // `bytes`, and a canonical decode cached exactly those bytes.
         lineage.adopt_b64_cache(raw.into());
+        let _ = self.decoded.set(lineage.clone());
         Ok(lineage)
     }
 
@@ -157,6 +168,7 @@ impl Baggage {
     /// context drops the ongoing dependency set).
     pub fn clear_lineage(&mut self) {
         self.lineage = None;
+        self.decoded.take();
         self.entries.remove(LINEAGE_KEY);
     }
 
@@ -177,16 +189,26 @@ impl Baggage {
     pub fn to_header(&self) -> String {
         let lin_b64 = self.lineage.as_ref().map(|l| l.wire_b64());
         let mut lin_pending = lin_b64.is_some();
-        let mut out = String::new();
+        // One allocation when nothing but base64 padding needs escaping
+        // (`==` renders as `%3D%3D`, hence the slack).
+        let entries_len: usize = self
+            .entries
+            .iter()
+            .map(|(k, v)| k.len() + v.len() + 2)
+            .sum();
+        let lineage_len = lin_b64
+            .as_ref()
+            .map_or(0, |b| LINEAGE_KEY.len() + b.len() + 6);
+        let mut out = String::with_capacity(entries_len + lineage_len);
         let mut first = true;
         let push_item = |out: &mut String, first: &mut bool, k: &str, v: &str| {
             if !*first {
                 out.push(',');
             }
             *first = false;
-            out.push_str(&escape(k));
+            escape_into(out, k);
             out.push('=');
-            out.push_str(&escape(v));
+            escape_into(out, v);
         };
         for (k, v) in &self.entries {
             if lin_pending && k.as_str() > LINEAGE_KEY {
@@ -223,7 +245,9 @@ impl Baggage {
                 continue;
             }
             if let Some((k, v)) = item.split_once('=') {
-                b.set(unescape(k), unescape(v));
+                // A fresh baggage has no structural lineage to displace, so
+                // this is all `set` would do.
+                b.entries.insert(unescape(k), unescape(v));
             }
         }
         b
@@ -290,7 +314,7 @@ impl Baggage {
         for _ in 0..n {
             let k = get_str(buf).map_err(BaggageError::Codec)?;
             let v = get_str(buf).map_err(BaggageError::Codec)?;
-            b.entries.insert(k, v);
+            b.entries.insert(k.to_owned(), v.to_owned());
         }
         if !buf.has_remaining() {
             return Err(BaggageError::Codec(CodecError::UnexpectedEof));
@@ -314,50 +338,52 @@ impl Baggage {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ',' => out.push_str("%2C"),
-            '=' => out.push_str("%3D"),
-            _ => out.push(c),
-        }
+/// Appends `s` to `out`, percent-escaping `%`, `,` and `=`: runs between
+/// metacharacters are copied whole, so a string without any is one
+/// `push_str`.
+fn escape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(|b| matches!(b, b'%' | b',' | b'=')) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'%' => "%25",
+            b',' => "%2C",
+            _ => "%3D",
+        });
+        rest = &rest[at + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
+/// Inverse of [`escape_into`]. Lenient: a `%` that does not start one of
+/// the three escapes (unknown hex, or cut short by the end of the item)
+/// passes through literally.
 fn unescape(s: &str) -> String {
+    if !s.contains('%') {
+        return s.to_owned();
+    }
     let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() + 1 && i + 3 <= bytes.len() {
-            match &bytes[i + 1..i + 3] {
-                b"25" => {
-                    out.push('%');
-                    i += 3;
-                    continue;
-                }
-                b"2C" => {
-                    out.push(',');
-                    i += 3;
-                    continue;
-                }
-                b"3D" => {
-                    out.push('=');
-                    i += 3;
-                    continue;
-                }
-                _ => {}
+    let mut rest = s;
+    while let Some(at) = rest.find('%') {
+        out.push_str(&rest[..at]);
+        let unescaped = match rest.as_bytes().get(at + 1..at + 3) {
+            Some(b"25") => Some('%'),
+            Some(b"2C") => Some(','),
+            Some(b"3D") => Some('='),
+            _ => None,
+        };
+        match unescaped {
+            Some(c) => {
+                out.push(c);
+                rest = &rest[at + 3..];
+            }
+            None => {
+                out.push('%');
+                rest = &rest[at + 1..];
             }
         }
-        // Safe: we only ever skip whole ASCII escape triples, so `i` stays on
-        // a char boundary.
-        let c = s[i..].chars().next().expect("index is on a char boundary");
-        out.push(c);
-        i += c.len_utf8();
     }
+    out.push_str(rest);
     out
 }
 
@@ -451,6 +477,62 @@ mod tests {
         let back = Baggage::from_header(&b.to_header());
         assert_eq!(back.lineage().unwrap(), l);
         assert_eq!(back.get("request-id"), Some("r-17"));
+    }
+
+    #[test]
+    fn unescape_passes_incomplete_and_unknown_escapes_through() {
+        for (raw, want) in [
+            ("%", "%"),
+            ("%2", "%2"),
+            ("%ZZ", "%ZZ"),
+            ("a%", "a%"),
+            ("a%2", "a%2"),
+            ("%2C%", ",%"),
+            ("%25%3D%2C", "%=,"),
+            ("%2c", "%2c"), // escapes are upper-case hex only
+            ("é%3Dλ", "é=λ"),
+        ] {
+            assert_eq!(unescape(raw), want, "unescape({raw:?})");
+            let b = Baggage::from_header(&format!("k={raw}"));
+            assert_eq!(b.get("k"), Some(want), "from_header(k={raw:?})");
+        }
+    }
+
+    #[test]
+    fn parsed_header_decodes_its_lineage_once() {
+        let mut l = Lineage::new(LineageId(42));
+        l.append(WriteId::new("s3", "obj/1", 1));
+        let mut out = Baggage::new();
+        out.set_lineage(&l);
+        let mut parsed = Baggage::from_header(&out.to_header());
+        let decodes = || crate::stats::snapshot().canonical_decodes;
+
+        let before = decodes();
+        assert_eq!(parsed.lineage().unwrap(), l);
+        assert_eq!(parsed.lineage().unwrap(), l);
+        assert_eq!(parsed.clone().lineage().unwrap(), l, "clones share it");
+        assert_eq!(decodes(), before + 1, "one decode, however many readers");
+
+        // Replacing the raw entry must not leave the old decode behind.
+        let mut other = Lineage::new(LineageId(7));
+        other.append(WriteId::new("mysql", "row", 9));
+        parsed.set(LINEAGE_KEY, other.wire_b64().to_string());
+        assert_eq!(parsed.lineage().unwrap(), other);
+        assert_eq!(decodes(), before + 2);
+        parsed.set(LINEAGE_KEY, "!!!not-base64!!!");
+        assert_eq!(parsed.lineage(), Err(BaggageError::Encoding));
+        parsed.set(LINEAGE_KEY, l.wire_b64().to_string());
+        let _ = parsed.lineage().unwrap();
+        parsed.remove(LINEAGE_KEY);
+        assert_eq!(parsed.lineage(), Err(BaggageError::Missing));
+        parsed.set(LINEAGE_KEY, l.wire_b64().to_string());
+        let _ = parsed.lineage().unwrap();
+        parsed.clear_lineage();
+        assert_eq!(parsed.lineage(), Err(BaggageError::Missing));
+        parsed.set(LINEAGE_KEY, l.wire_b64().to_string());
+        let _ = parsed.lineage().unwrap();
+        parsed.set_lineage(&other);
+        assert_eq!(parsed.lineage().unwrap(), other);
     }
 
     #[test]

@@ -6,26 +6,25 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 
 /// Encodes bytes as standard base64 with padding.
 pub fn encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let b0 = chunk[0] as u32;
-        let b1 = chunk.get(1).copied().unwrap_or(0) as u32;
-        let b2 = chunk.get(2).copied().unwrap_or(0) as u32;
-        let n = (b0 << 16) | (b1 << 8) | b2;
-        out.push(ALPHABET[(n >> 18) as usize & 0x3f] as char);
-        out.push(ALPHABET[(n >> 12) as usize & 0x3f] as char);
-        out.push(if chunk.len() > 1 {
-            ALPHABET[(n >> 6) as usize & 0x3f] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 {
-            ALPHABET[n as usize & 0x3f] as char
-        } else {
-            '='
-        });
+    let mut out = Vec::with_capacity(data.len().div_ceil(3) * 4);
+    let sextet = |n: u32, shift: u32| ALPHABET[(n >> shift) as usize & 0x3f];
+    let mut groups = data.chunks_exact(3);
+    for g in &mut groups {
+        let n = u32::from(g[0]) << 16 | u32::from(g[1]) << 8 | u32::from(g[2]);
+        out.extend_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6), sextet(n, 0)]);
     }
-    out
+    match *groups.remainder() {
+        [b0] => {
+            let n = u32::from(b0) << 16;
+            out.extend_from_slice(&[sextet(n, 18), sextet(n, 12), b'=', b'=']);
+        }
+        [b0, b1] => {
+            let n = u32::from(b0) << 16 | u32::from(b1) << 8;
+            out.extend_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6), b'=']);
+        }
+        _ => {}
+    }
+    String::from_utf8(out).expect("the base64 alphabet is ASCII")
 }
 
 /// Error from [`decode`]: the input was not valid base64.
@@ -39,15 +38,29 @@ impl std::fmt::Display for Base64Error {
 }
 impl std::error::Error for Base64Error {}
 
-fn decode_char(c: u8) -> Result<u32, Base64Error> {
-    match c {
-        b'A'..=b'Z' => Ok(u32::from(c - b'A')),
-        b'a'..=b'z' => Ok(u32::from(c - b'a') + 26),
-        b'0'..=b'9' => Ok(u32::from(c - b'0') + 52),
-        b'+' => Ok(62),
-        b'/' => Ok(63),
-        _ => Err(Base64Error),
+/// Marks a byte outside the alphabet in [`DECODE`] (`=` included: padding is
+/// recognised by position, never looked up).
+const INVALID: u8 = 0xff;
+
+/// Byte → sextet, the inverse of [`ALPHABET`].
+const DECODE: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[ALPHABET[i] as usize] = i as u8;
+        i += 1;
     }
+    table
+};
+
+/// The 24 bits of four alphabet characters, or an error if any is not one.
+#[inline]
+fn decode_group(c: [u8; 4]) -> Result<u32, Base64Error> {
+    let s = c.map(|b| DECODE[b as usize]);
+    if s.contains(&INVALID) {
+        return Err(Base64Error);
+    }
+    Ok(u32::from(s[0]) << 18 | u32::from(s[1]) << 12 | u32::from(s[2]) << 6 | u32::from(s[3]))
 }
 
 /// Decodes standard base64 (padding required).
@@ -58,39 +71,32 @@ fn decode_char(c: u8) -> Result<u32, Base64Error> {
 /// decode is a bijection onto encode's range, which is what lets a decoded
 /// lineage adopt the incoming string as its cached base64 form.
 pub fn decode(s: &str) -> Result<Vec<u8>, Base64Error> {
-    let bytes = s.as_bytes();
-    if !bytes.len().is_multiple_of(4) {
+    let (groups, rest) = s.as_bytes().as_chunks::<4>();
+    if !rest.is_empty() {
         return Err(Base64Error);
     }
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    let chunks = bytes.chunks(4);
-    let last = chunks.len().saturating_sub(1);
-    for (i, chunk) in chunks.enumerate() {
-        let pad = chunk.iter().rev().take_while(|&&c| c == b'=').count();
-        if pad > 2 {
-            return Err(Base64Error);
-        }
-        // '=' may only appear as trailing padding of the final chunk.
-        if (pad > 0 && i != last) || chunk[..4 - pad].contains(&b'=') {
-            return Err(Base64Error);
-        }
-        let mut n: u32 = 0;
-        for &c in &chunk[..4 - pad] {
-            n = (n << 6) | decode_char(c)?;
-        }
-        n <<= 6 * pad as u32;
-        // Bits dropped by padding must be zero (canonical encoding).
-        if (pad == 1 && n & 0xff != 0) || (pad == 2 && n & 0xffff != 0) {
-            return Err(Base64Error);
-        }
-        out.push((n >> 16) as u8);
-        if pad < 2 {
-            out.push((n >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(n as u8);
-        }
+    let Some((&last, full)) = groups.split_last() else {
+        return Ok(Vec::new());
+    };
+    let mut out = Vec::with_capacity(groups.len() * 3);
+    // '=' is outside the alphabet, so padding anywhere but the tail of the
+    // final group fails the table lookup.
+    for &group in full {
+        let n = decode_group(group)?;
+        out.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
     }
+    let pad = last.iter().rev().take_while(|&&c| c == b'=').count();
+    if pad > 2 {
+        return Err(Base64Error);
+    }
+    let mut padded = last;
+    padded[4 - pad..].fill(b'A'); // sextet 0
+    let n = decode_group(padded)?;
+    // Bits dropped by padding must be zero (canonical encoding).
+    if (pad == 1 && n & 0xff != 0) || (pad == 2 && n & 0xffff != 0) {
+        return Err(Base64Error);
+    }
+    out.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8][..3 - pad]);
     Ok(out)
 }
 

@@ -522,14 +522,15 @@ fn decode_body(buf: &mut &[u8]) -> Result<BodyDecode, CodecError> {
     canonical_len += varint_len(n_names as u64);
     let mut stores: Vec<StoreId> = Vec::with_capacity(n_names.min(buf.remaining()));
     let mut names_sorted = true;
-    let mut prev_name: Option<String> = None;
+    let mut prev_name: Option<&str> = None;
     for _ in 0..n_names {
+        // Borrowed from the input: a known store name allocates nothing.
         let name = get_str(buf)?;
         canonical_len += varint_len(name.len() as u64) + name.len();
-        if prev_name.as_deref().is_some_and(|p| p >= name.as_str()) {
+        if prev_name.is_some_and(|p| p >= name) {
             names_sorted = false;
         }
-        stores.push(StoreId::intern(&name));
+        stores.push(StoreId::intern(name));
         prev_name = Some(name);
     }
     let n_deps = get_varint(buf)? as usize;
@@ -553,7 +554,8 @@ fn decode_body(buf: &mut &[u8]) -> Result<BodyDecode, CodecError> {
         let version = get_varint(buf)?;
         canonical_len +=
             varint_len(idx) + varint_len(key.len() as u64) + key.len() + varint_len(version);
-        let dep = WriteId::from_parts(store, key.into(), version);
+        // The key's one allocation: straight from the input into its `Rc`.
+        let dep = WriteId::from_parts(store, Rc::from(key), version);
         match prev_idx {
             None => {
                 if idx != 0 {

@@ -75,15 +75,18 @@ pub fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-/// Reads a length-prefixed UTF-8 string.
-pub fn get_str(buf: &mut impl Buf) -> Result<String, CodecError> {
-    let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
+/// Reads a length-prefixed UTF-8 string, borrowed from the input: the bytes
+/// are validated where they lie, and the caller copies them only if (and
+/// into whatever) it needs to own.
+pub fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, CodecError> {
+    let len = usize::try_from(get_varint(buf)?).map_err(|_| CodecError::LengthOutOfBounds)?;
+    let input: &'a [u8] = buf;
+    let Some((bytes, rest)) = input.split_at_checked(len) else {
         return Err(CodecError::LengthOutOfBounds);
-    }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| CodecError::InvalidUtf8)
+    };
+    let s = std::str::from_utf8(bytes).map_err(|_| CodecError::InvalidUtf8)?;
+    *buf = rest;
+    Ok(s)
 }
 
 /// Number of bytes `v` occupies as a varint.

@@ -162,10 +162,14 @@ proptest! {
         }
         b.set_lineage(&l);
         let back = Baggage::from_header(&b.to_header());
+        prop_assert_eq!(&back, &b);
         prop_assert_eq!(back.lineage().unwrap(), l);
         for (k, v) in &entries {
             prop_assert_eq!(back.get(k), Some(v.as_str()));
         }
+        // Without a lineage the header is just the escaped entries.
+        b.clear_lineage();
+        prop_assert_eq!(Baggage::from_header(&b.to_header()), b);
     }
 }
 

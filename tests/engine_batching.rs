@@ -20,7 +20,7 @@ use antipode_sim::{FaultKind, Network, Sim, SimTime};
 use antipode_store::probe::{VisibilityEvent, VisibilityProbe};
 use antipode_store::replica::{KvProfile, KvStore};
 use antipode_store::shim::KvShim;
-use antipode_store::{QueueProfile, QueueStore};
+use antipode_store::{profiles, QueueProfile, QueueStore};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -35,6 +35,21 @@ fn fast_profile() -> KvProfile {
         retry_interval: Dist::constant_ms(200.0),
     }
 }
+
+/// S3's heavy-tailed replication (tens of seconds: everything the fleet
+/// writes is in flight at once) with a *zero* retry backoff, so a dropped
+/// send re-samples at the instant it was dropped. Constant commit latency
+/// keeps the fleet's commits on shared instants.
+fn deep_profile() -> KvProfile {
+    KvProfile {
+        local_write: Dist::constant_ms(30.0),
+        retry_interval: Dist::Constant(0.0),
+        ..profiles::s3()
+    }
+}
+
+/// Sends the deep scenarios must hold in flight at once.
+const DEEP_INFLIGHT: usize = 4096;
 
 /// Records every probe event as a fully-rendered line (store, region, key,
 /// watermark, *and* virtual instant), so any divergence — reordering, a
@@ -87,6 +102,8 @@ struct Params {
     drop: f64,
     /// Replication stall into US, `[0, len_ms)`.
     stall_ms: u64,
+    /// Run on [`deep_profile`] and require [`DEEP_INFLIGHT`] queued sends.
+    deep: bool,
 }
 
 /// Runs the scenario with batching on or off and returns the probe trace
@@ -129,17 +146,23 @@ fn run(p: &Params, batched: bool) -> (Vec<String>, usize) {
             },
         );
     }
-    let store = KvStore::new(&sim, net, "db", &REGIONS, fast_profile());
+    let profile = if p.deep {
+        deep_profile()
+    } else {
+        fast_profile()
+    };
+    let store = KvStore::new(&sim, net, "db", &REGIONS, profile);
     store.set_batching(batched);
     let log: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
     store.set_probe(Some(recording_probe(&log)));
-    let shim = KvShim::new(store);
+    let shim = KvShim::new(store.clone());
     let mut ap = Antipode::new(sim.clone());
     ap.register(Rc::new(shim.clone()));
     let checker = ConsistencyChecker::new(ap.clone());
 
     let writers = p.writers;
     let sim2 = sim.clone();
+    let p = p.clone();
     let violations = sim.block_on(async move {
         let sim = sim2;
         let lineages: Rc<RefCell<Vec<Lineage>>> = Rc::new(RefCell::new(Vec::new()));
@@ -162,6 +185,16 @@ fn run(p: &Params, batched: bool) -> (Vec<String>, usize) {
                 }
                 lineages.borrow_mut().push(lin);
             });
+        }
+        if p.deep {
+            // All three writes of every writer are committed; S3's lag has
+            // delivered next to none of their sends.
+            sim.sleep(Duration::from_millis(150)).await;
+            assert!(
+                store.pending_sends() >= DEEP_INFLIGHT,
+                "only {} sends in flight",
+                store.pending_sends()
+            );
         }
         // Long enough for every write plus any scheduled fault window.
         sim.sleep(Duration::from_secs(20)).await;
@@ -191,59 +224,129 @@ fn batched_and_unbatched_traces_match_on_quiet_plan() {
         partition: (0, 0),
         drop: 0.0,
         stall_ms: 0,
+        deep: false,
     };
-    let (batched, v1) = run(&p, true);
-    let (unbatched, v2) = run(&p, false);
+    assert_trace_invariant(&p);
+}
+
+fn assert_trace_invariant(p: &Params) {
+    let (batched, v1) = run(p, true);
+    let (unbatched, v2) = run(p, false);
     assert!(
         batched.len() >= p.writers * REGIONS.len(),
         "every write must apply in every region"
     );
     assert_eq!(
         batched, unbatched,
-        "fan-out batching must be trace-invariant"
+        "fan-out batching must be trace-invariant under {p:?}"
     );
     assert_eq!((v1, v2), (0, 0), "barrier-gated checkpoints must be clean");
+}
+
+/// Deep queues: 700 writers × 3 writes × 2 remote replicas hold 4 200 sends
+/// in flight behind S3's tail, on a quiet plan and under chaos whose drops
+/// retry with zero backoff. The heap-ordered pair queue must ferry them to
+/// the same instants, in the same order, one entry or one batch at a time.
+#[test]
+fn deep_s3_queues_with_zero_backoff_are_trace_invariant() {
+    let quiet = Params {
+        seed: 0x53,
+        writers: 700,
+        outage: (0, 0),
+        partition: (0, 0),
+        drop: 0.0,
+        stall_ms: 0,
+        deep: true,
+    };
+    assert_trace_invariant(&quiet);
+    // Faults open after the write phase (≈ 90 ms) so every writer finishes.
+    let chaos = Params {
+        outage: (500, 2000),
+        partition: (300, 3000),
+        drop: 0.5,
+        stall_ms: 1500,
+        ..quiet
+    };
+    assert_trace_invariant(&chaos);
 }
 
 /// Queue family: publishes fan out through the same pair queues; the
 /// delivery/ack probe stream must be identical with batching on or off.
 #[test]
 fn queue_delivery_trace_is_batching_invariant() {
-    fn run_queue(batched: bool) -> Vec<String> {
-        let sim = Sim::new(77);
-        let net = Rc::new(Network::global_triangle());
-        let q = QueueStore::new(&sim, net, "amq", &[EU, US, SG], QueueProfile::default());
-        q.set_batching(batched);
-        let log: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-        q.set_probe(Some(recording_probe(&log)));
-        let q2 = q.clone();
-        let sim2 = sim.clone();
-        sim.block_on(async move {
-            for _ in 0..4 {
-                // Four concurrent publishers per round: same-instant commits
-                // into the EU→US and EU→SG pair queues.
-                for _ in 0..4 {
-                    let q = q2.clone();
-                    sim2.spawn_detached(async move {
-                        q.publish(EU, Bytes::from_static(b"m"))
-                            .await
-                            .expect("EU is configured");
-                    });
-                }
-                sim2.sleep(Duration::from_millis(250)).await;
-            }
-            sim2.sleep(Duration::from_secs(5)).await;
-        });
-        let out = log.borrow().clone();
-        out
-    }
-    let batched = run_queue(true);
-    let unbatched = run_queue(false);
+    let batched = run_queue(true, false);
+    let unbatched = run_queue(false, false);
     assert!(!batched.is_empty(), "publishes must deliver");
     assert_eq!(
         batched, unbatched,
         "broker batching must be trace-invariant"
     );
+}
+
+/// The zero-backoff corner: constant lags land each round's four publishes
+/// on one instant, half of them drop on arrival, and a zero redelivery
+/// interval makes each dropped entry due again *at that same instant*. It
+/// must still wait for the rest of its round — in both modes — or the
+/// unbatched flusher would re-draw for it before its round-mates drew once.
+#[test]
+fn zero_backoff_redelivery_rounds_are_batching_invariant() {
+    let batched = run_queue(true, true);
+    let unbatched = run_queue(false, true);
+    assert!(!batched.is_empty(), "publishes must deliver");
+    assert_eq!(
+        batched, unbatched,
+        "a re-sampled entry must sit out the rest of its round"
+    );
+}
+
+fn run_queue(batched: bool, zero_backoff: bool) -> Vec<String> {
+    let sim = Sim::new(77);
+    let (net, profile) = if zero_backoff {
+        sim.faults().schedule(
+            SimTime::ZERO,
+            SimTime::from_secs(3),
+            FaultKind::DeliveryDrop {
+                broker: "amq".into(),
+                probability: 0.5,
+            },
+        );
+        (
+            Network::new(Dist::Constant(0.000_25), Dist::Constant(0.080)),
+            QueueProfile {
+                delivery: Dist::constant_ms(100.0),
+                ..QueueProfile::default()
+            },
+        )
+    } else {
+        (Network::global_triangle(), QueueProfile::default())
+    };
+    let q = QueueStore::new(&sim, Rc::new(net), "amq", &[EU, US, SG], profile);
+    if zero_backoff {
+        q.set_redelivery_interval(Dist::Constant(0.0));
+    }
+    q.set_batching(batched);
+    let log: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+    q.set_probe(Some(recording_probe(&log)));
+    let q2 = q.clone();
+    let sim2 = sim.clone();
+    sim.block_on(async move {
+        for _ in 0..4 {
+            // Four concurrent publishers per round: same-instant commits
+            // into the EU→US and EU→SG pair queues.
+            for _ in 0..4 {
+                let q = q2.clone();
+                sim2.spawn_detached(async move {
+                    q.publish(EU, Bytes::from_static(b"m"))
+                        .await
+                        .expect("EU is configured");
+                });
+            }
+            sim2.sleep(Duration::from_millis(250)).await;
+        }
+        sim2.sleep(Duration::from_secs(5)).await;
+    });
+    let out = log.borrow().clone();
+    out
 }
 
 proptest! {
@@ -265,7 +368,7 @@ proptest! {
         drop in 0.0f64..0.8,
         stall_ms in 0u64..3000,
     ) {
-        let p = Params { seed, writers, outage, partition, drop, stall_ms };
+        let p = Params { seed, writers, outage, partition, drop, stall_ms, deep: false };
         let (batched, v1) = run(&p, true);
         let (unbatched, v2) = run(&p, false);
         prop_assert_eq!(
