@@ -54,8 +54,6 @@ pub struct DeterministicMetrics {
     pub final_deps: usize,
     /// Wire-format size of the final lineage, bytes.
     pub final_wire_bytes: usize,
-    /// Flat v2 frame size of the final lineage, bytes.
-    pub final_frame_bytes: usize,
     /// Header size of baggage carrying the final lineage, bytes.
     pub final_header_bytes: usize,
     /// Distinct datastore names interned by the workload thread.
@@ -70,10 +68,6 @@ pub struct DeterministicMetrics {
     pub b64_encodes: u64,
     /// Base64 requests served from cache.
     pub b64_cache_hits: u64,
-    /// Flat v2 frame encodes performed.
-    pub frame_encodes: u64,
-    /// Frame requests served from cache.
-    pub frame_cache_hits: u64,
     /// Decodes that adopted canonical input bytes as the wire cache.
     pub canonical_decodes: u64,
 }
@@ -131,17 +125,17 @@ pub fn build_lineage(seed: u64, deps: usize) -> Lineage {
 /// Runs the fixed hop workload and returns its structural counters.
 ///
 /// Each hop models a service boundary: the lineage is injected into
-/// baggage, carried across the edge, parsed on the far side, and extracted.
-/// Half the edges are text (header render/parse, the HTTP path); the other
-/// half are binary (flat v2 frame, the RPC/engine path) — in alternating
-/// runs of four, so pass-through hops forward over the same transport that
-/// delivered them and the adopted caches get re-used. On arrival the
+/// baggage, carried across the edge, and extracted on the far side. The
+/// edges alternate in runs of four between the two ways baggage travels in
+/// this repo: as header text (render/parse, what `trace_rpc` puts on every
+/// RPC leg) and by value (what `Endpoint::call` does: `RequestCtx::outgoing`
+/// → `from_baggage` hands the struct over, no codec). On arrival the
 /// receiving service persists the value, which serializes the lineage into
 /// a datastore envelope — the wire-cache consumer that canonical decode
 /// adoption exists for. Every fourth hop the receiving service starts a
 /// request of its own — transferring the received lineage in and appending
 /// a write — while the other hops forward the lineage unchanged, the
-/// pass-through case the wire/base64/frame caches exist for.
+/// pass-through case the wire/base64 caches exist for.
 pub fn deterministic_workload(seed: u64, deps: usize, hops: usize) -> DeterministicMetrics {
     let mut state = seed ^ 0x5eed;
     let mut lineage = build_lineage(seed, deps);
@@ -152,12 +146,13 @@ pub fn deterministic_workload(seed: u64, deps: usize, hops: usize) -> Determinis
         let incoming = if hop % 8 < 4 {
             Baggage::from_header(&out.to_header())
         } else {
-            Baggage::from_frame(&out.to_frame()).expect("frame round-trips")
+            out
         };
         let received = incoming.lineage().expect("hop carries a lineage");
         // The receiver stores the value: the shim envelopes it under the
         // received lineage, which asks for the wire form. After a canonical
-        // text-edge decode this must be a cache hit, not a re-encode.
+        // text-edge decode, or a by-value hop of an unchanged lineage, this
+        // must be a cache hit, not a re-encode.
         std::hint::black_box(received.wire_size());
         lineage = if hop % 4 == 0 {
             let mut request = Lineage::new(LineageId(seed ^ (hop + 1)));
@@ -173,14 +168,12 @@ pub fn deterministic_workload(seed: u64, deps: usize, hops: usize) -> Determinis
     let mut carrier = Baggage::new();
     carrier.set_lineage(&lineage);
     let final_wire_bytes = lineage.wire_size();
-    let final_frame_bytes = lineage.frame_size();
     let final_header_bytes = carrier.header_size();
     // Snapshot last so the final-size probes above are themselves counted.
     let stats = stats::snapshot();
     DeterministicMetrics {
         final_deps: lineage.len(),
         final_wire_bytes,
-        final_frame_bytes,
         final_header_bytes,
         interned_stores: interner::interned_count(),
         cow_dep_clones: stats.cow_dep_clones,
@@ -188,8 +181,6 @@ pub fn deterministic_workload(seed: u64, deps: usize, hops: usize) -> Determinis
         wire_cache_hits: stats.wire_cache_hits,
         b64_encodes: stats.b64_encodes,
         b64_cache_hits: stats.b64_cache_hits,
-        frame_encodes: stats.frame_encodes,
-        frame_cache_hits: stats.frame_cache_hits,
         canonical_decodes: stats.canonical_decodes,
     }
 }
@@ -304,12 +295,6 @@ mod tests {
         assert!(
             m.b64_cache_hits > 0,
             "pass-through hops must be base64 cache hits: {m:?}"
-        );
-        // Binary edges: the first frame render of a binary run encodes,
-        // later pass-through hops forward the adopted frame from cache.
-        assert!(
-            m.frame_encodes > 0 && m.frame_cache_hits > 0,
-            "binary hops must exercise the frame codec and its cache: {m:?}"
         );
     }
 }

@@ -3,7 +3,7 @@
 //! `barrier` unpacks the write identifiers carried by a lineage, groups them
 //! by datastore, and calls each store's `wait` against the replica co-located
 //! with the caller. It returns once every dependency is visible (or
-//! superseded). Variants: a timeout form, an asynchronous form that invokes a
+//! superseded). Variants: a budgeted form, an asynchronous form that invokes a
 //! callback, and a **dry-run** mode that only reports which dependencies are
 //! not yet visible — the passive consistency checker developers use to find
 //! barrier placements.
@@ -27,12 +27,6 @@ pub enum BarrierError {
     UnknownStore(String),
     /// A datastore-specific wait failed.
     Wait(WaitError),
-    /// The timeout elapsed before all dependencies became visible
-    /// ([`Antipode::barrier_with_timeout`] only).
-    Timeout {
-        /// Dependencies still not visible when the deadline passed.
-        unmet: Vec<WriteId>,
-    },
 }
 
 impl fmt::Display for BarrierError {
@@ -40,13 +34,6 @@ impl fmt::Display for BarrierError {
         match self {
             BarrierError::UnknownStore(s) => write!(f, "no shim registered for datastore {s}"),
             BarrierError::Wait(e) => write!(f, "wait failed: {e}"),
-            BarrierError::Timeout { unmet } => {
-                write!(
-                    f,
-                    "barrier timed out with {} unmet dependencies",
-                    unmet.len()
-                )
-            }
         }
     }
 }
@@ -140,20 +127,10 @@ pub struct BarrierReport {
 }
 
 impl BarrierReport {
-    fn empty() -> Self {
-        BarrierReport {
-            already_visible: 0,
-            waited_for: 0,
-            skipped: 0,
-            blocked: Duration::ZERO,
-            waits: Vec::new(),
-        }
-    }
-
     /// Folds `other` into this report: counters add, per-store wait entries
     /// merge by interned store id. Used when a barrier resumes across
-    /// attempts (degraded re-arm) or spans several regions — the merged
-    /// telemetry is the sum of everything every attempt did.
+    /// attempts (degraded re-arm) — the merged telemetry is the sum of
+    /// everything every attempt did.
     pub fn merge(&mut self, other: &BarrierReport) {
         self.already_visible += other.already_visible;
         self.waited_for += other.waited_for;
@@ -205,11 +182,10 @@ impl DryRunReport {
 
 /// What a budgeted barrier ([`Antipode::barrier_budget`]) produced.
 ///
-/// Unlike [`Antipode::barrier_with_timeout`] — which turns a missed deadline
-/// into an *error* and throws the partial work away — a budgeted barrier
-/// treats running out of time as a structured, expected outcome: the caller
-/// gets the exact dependencies still unmet plus the telemetry of everything
-/// the barrier did enforce, and can re-arm the remainder later.
+/// A budgeted barrier treats running out of time as a structured, expected
+/// outcome, not an error: the caller gets the exact dependencies still unmet
+/// plus the telemetry of everything the barrier did enforce, and can re-arm
+/// the remainder later.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BarrierOutcome {
     /// Every dependency became visible within the budget.
@@ -278,6 +254,13 @@ pub struct SpeculativeBarrier {
     pub budget: Duration,
 }
 
+/// What the budgeted enforcement core produced: a [`BarrierOutcome`] minus
+/// speculation, which only [`Antipode::barrier_speculative`] layers on top.
+enum Budgeted {
+    Complete(BarrierReport),
+    Degraded(DegradedBarrier),
+}
+
 /// The Antipode client of one service: a shim registry plus the simulation
 /// handle. Cheap to clone.
 #[derive(Clone)]
@@ -340,7 +323,7 @@ impl Antipode {
         region: Region,
     ) -> Result<BarrierReport, BarrierError> {
         let start = self.sim.now();
-        let acc = RefCell::new(BarrierReport::empty());
+        let acc = RefCell::new(BarrierReport::default());
         self.enforce_deps(lineage, region, &acc).await?;
         let mut report = acc.into_inner();
         report.blocked = self.sim.now().since(start);
@@ -427,31 +410,47 @@ impl Antipode {
         region: Region,
         budget: Duration,
     ) -> Result<BarrierOutcome, BarrierError> {
+        Ok(
+            match self.enforce_budgeted(lineage, region, Some(budget)).await? {
+                Budgeted::Complete(report) => BarrierOutcome::Complete(report),
+                Budgeted::Degraded(degraded) => BarrierOutcome::Degraded(degraded),
+            },
+        )
+    }
+
+    /// The core of [`Antipode::barrier_budget`] and [`Antipode::rearm`]:
+    /// enforce within `budget`, or unbounded when it is `None`.
+    async fn enforce_budgeted(
+        &self,
+        lineage: &Lineage,
+        region: Region,
+        budget: Option<Duration>,
+    ) -> Result<Budgeted, BarrierError> {
+        let Some(budget) = budget else {
+            return Ok(Budgeted::Complete(self.barrier(lineage, region).await?));
+        };
         let start = self.sim.now();
-        let acc = RefCell::new(BarrierReport::empty());
+        let acc = RefCell::new(BarrierReport::default());
         let enforced = {
             let fut = self.enforce_deps(lineage, region, &acc);
             antipode_sim::timeout(&self.sim, budget, fut).await
         };
-        match enforced {
-            Ok(Ok(())) => {
-                let mut report = acc.into_inner();
-                report.blocked = self.sim.now().since(start);
-                Ok(BarrierOutcome::Complete(report))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(_elapsed) => {
-                let dry = self.dry_run(lineage, region);
-                let mut report = acc.into_inner();
-                report.blocked = self.sim.now().since(start);
-                Ok(BarrierOutcome::Degraded(DegradedBarrier {
-                    lineage: lineage.id(),
-                    unmet: dry.unmet,
-                    report,
-                    budget,
-                }))
-            }
-        }
+        let unmet = match enforced {
+            Ok(Ok(())) => None,
+            Ok(Err(e)) => return Err(e),
+            Err(_elapsed) => Some(self.dry_run(lineage, region).unmet),
+        };
+        let mut report = acc.into_inner();
+        report.blocked = self.sim.now().since(start);
+        Ok(match unmet {
+            None => Budgeted::Complete(report),
+            Some(unmet) => Budgeted::Degraded(DegradedBarrier {
+                lineage: lineage.id(),
+                unmet,
+                report,
+                budget,
+            }),
+        })
     }
 
     /// Re-arms a degraded barrier: enforces only the unmet remainder (with a
@@ -470,71 +469,20 @@ impl Antipode {
         for w in &degraded.unmet {
             remainder.append(w.clone());
         }
-        let outcome = match budget {
-            Some(b) => self.barrier_budget(&remainder, region, b).await?,
-            None => BarrierOutcome::Complete(self.barrier(&remainder, region).await?),
-        };
-        Ok(match outcome {
-            BarrierOutcome::Complete(r) => {
-                let mut merged = degraded.report.clone();
-                merged.merge(&r);
-                BarrierOutcome::Complete(merged)
-            }
-            BarrierOutcome::Degraded(mut d) => {
-                let mut merged = degraded.report.clone();
-                merged.merge(&d.report);
-                d.report = merged;
-                BarrierOutcome::Degraded(d)
-            }
-            // `barrier_budget` never speculates, but fold telemetry anyway
-            // so the arm stays correct if a future rearm variant does.
-            BarrierOutcome::Speculative(mut s) => {
-                let mut merged = degraded.report.clone();
-                merged.merge(&s.report);
-                s.report = merged;
-                BarrierOutcome::Speculative(s)
-            }
-        })
-    }
-
-    /// Enforces the lineage's dependencies in **several** regions at once —
-    /// global enforcement, as opposed to the geo-local optimization of §6.3
-    /// ("enforce dependencies only from replicas that are co-located with
-    /// its caller"). Useful when the caller's output will be consumed from
-    /// multiple regions.
-    pub async fn barrier_regions(
-        &self,
-        lineage: &Lineage,
-        regions: &[Region],
-    ) -> Result<BarrierReport, BarrierError> {
-        let start = self.sim.now();
-        let mut merged = BarrierReport::empty();
-        for region in regions {
-            let r = self.barrier(lineage, *region).await?;
-            merged.merge(&r);
-        }
-        // `merge` also summed per-region blocked times; the regions were
-        // enforced sequentially, so wall-clock blocked is the span.
-        merged.blocked = self.sim.now().since(start);
-        Ok(merged)
-    }
-
-    /// [`Antipode::barrier`] with a deadline. On timeout, reports the
-    /// dependencies still unmet.
-    pub async fn barrier_with_timeout(
-        &self,
-        lineage: &Lineage,
-        region: Region,
-        timeout: Duration,
-    ) -> Result<BarrierReport, BarrierError> {
-        let fut = self.barrier(lineage, region);
-        match antipode_sim::timeout(&self.sim, timeout, fut).await {
-            Ok(res) => res,
-            Err(_) => {
-                let dry = self.dry_run(lineage, region);
-                Err(BarrierError::Timeout { unmet: dry.unmet })
-            }
-        }
+        let mut merged = degraded.report.clone();
+        Ok(
+            match self.enforce_budgeted(&remainder, region, budget).await? {
+                Budgeted::Complete(report) => {
+                    merged.merge(&report);
+                    BarrierOutcome::Complete(merged)
+                }
+                Budgeted::Degraded(mut again) => {
+                    merged.merge(&again.report);
+                    again.report = merged;
+                    BarrierOutcome::Degraded(again)
+                }
+            },
+        )
     }
 
     /// Asynchronous barrier: returns immediately; `callback` runs once the
@@ -690,28 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_regions_waits_for_all() {
-        let sim = Sim::new(0);
-        let store = TestStore::new(&sim, "db");
-        // The same write becomes visible at different times per "region" —
-        // the TestStore ignores regions, so emulate by two writes with
-        // different delays.
-        store.visible_after("k1", 1, Duration::from_millis(100));
-        store.visible_after("k2", 1, Duration::from_millis(400));
-        let mut ap = Antipode::new(sim.clone());
-        ap.register(store);
-        let l = lineage_with(&[("db", "k1", 1), ("db", "k2", 1)]);
-        let report = sim.block_on(async move {
-            ap.barrier_regions(&l, &[Region("r1"), Region("r2")])
-                .await
-                .unwrap()
-        });
-        // 2 deps × 2 regions.
-        assert_eq!(report.already_visible + report.waited_for, 4);
-        assert!(report.blocked >= Duration::from_millis(400));
-    }
-
-    #[test]
     fn unknown_store_fails_by_default() {
         let sim = Sim::new(0);
         let ap = Antipode::new(sim.clone());
@@ -727,43 +653,6 @@ mod tests {
         let l = lineage_with(&[("ghost", "k", 1)]);
         let report = sim.block_on(async move { ap.barrier(&l, HERE).await.unwrap() });
         assert_eq!(report.skipped, 1);
-    }
-
-    #[test]
-    fn barrier_with_timeout_reports_unmet() {
-        let sim = Sim::new(0);
-        let store = TestStore::new(&sim, "slow");
-        store.visible_after("k", 1, Duration::from_secs(60));
-        let mut ap = Antipode::new(sim.clone());
-        ap.register(store);
-        let l = lineage_with(&[("slow", "k", 1)]);
-        let err = sim.block_on(async move {
-            ap.barrier_with_timeout(&l, HERE, Duration::from_secs(1))
-                .await
-                .unwrap_err()
-        });
-        match err {
-            BarrierError::Timeout { unmet } => {
-                assert_eq!(unmet, vec![WriteId::new("slow", "k", 1)]);
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn barrier_with_timeout_succeeds_in_time() {
-        let sim = Sim::new(0);
-        let store = TestStore::new(&sim, "db");
-        store.visible_after("k", 1, Duration::from_millis(10));
-        let mut ap = Antipode::new(sim.clone());
-        ap.register(store);
-        let l = lineage_with(&[("db", "k", 1)]);
-        let report = sim.block_on(async move {
-            ap.barrier_with_timeout(&l, HERE, Duration::from_secs(1))
-                .await
-                .unwrap()
-        });
-        assert_eq!(report.waited_for, 1);
     }
 
     #[test]

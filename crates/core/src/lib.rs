@@ -54,7 +54,7 @@ pub use barrier::{
 pub use checker::{Checkpoint, ConsistencyChecker, LocationStats};
 pub use ctx::LineageCtx;
 pub use idgen::LineageIdGen;
-pub use race::{RaceDetector, RaceFinding, RaceStats, TraceEvent};
+pub use race::{RaceDetector, RaceFinding, RaceStats, TraceEvent, VisibilityEvent};
 pub use registry::{ShimRegistry, UnknownStorePolicy};
 pub use speculation::{SpecState, SpeculationConfig, SpeculationFrontier, ViolationCause};
 pub use wait::{LocalBoxFuture, WaitError, WaitTarget};

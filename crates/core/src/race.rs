@@ -22,9 +22,9 @@
 //!   that instant).
 //! - [`TraceEvent::Send`] / [`TraceEvent::Recv`]: a message edge — the
 //!   receiver's clock merges the sender's clock at send time.
-//! - [`TraceEvent::KvApplied`] / [`TraceEvent::QueueDelivered`] /
-//!   [`TraceEvent::QueueAcked`]: visibility transitions, recorded by the
-//!   store probes (`antipode_store::probe`).
+//! - [`TraceEvent::Visibility`]: a [`VisibilityEvent`] — a KV apply, queue
+//!   delivery or consumer ack — exactly as the store probes
+//!   (`antipode_store::probe`) emit it.
 //! - [`TraceEvent::Checkpoint`]: a candidate read location — the detector
 //!   evaluates every happens-before-prior write against the visibility
 //!   state at this point in the trace.
@@ -38,6 +38,63 @@ use std::collections::{BTreeMap, BTreeSet};
 use antipode_lineage::vector_clock::VectorClock;
 use antipode_lineage::WriteId;
 use antipode_sim::{Region, SimTime};
+
+/// One visibility-changing event observed inside a store framework (emitted
+/// through `antipode_store::probe`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum VisibilityEvent {
+    /// A KV replica applied (or acknowledged, for superseded versions) a
+    /// write: from this instant, `is_visible(region, key, version)` holds
+    /// for every `version ≤ watermark`.
+    KvApplied {
+        /// Store name (as used in write identifiers).
+        store: String,
+        /// Region whose replica applied the write.
+        region: Region,
+        /// Key written.
+        key: String,
+        /// Highest version the replica has now seen for `key` (watermark —
+        /// visibility is monotone in the version).
+        watermark: u64,
+        /// Virtual instant of the apply.
+        at: SimTime,
+    },
+    /// A queue delivered a message in a region: from this instant,
+    /// `is_visible(region, id)` holds.
+    QueueDelivered {
+        /// Queue-store name.
+        store: String,
+        /// Region the message was delivered in.
+        region: Region,
+        /// Message id (the version in write identifiers).
+        id: u64,
+        /// Virtual instant of the delivery.
+        at: SimTime,
+    },
+    /// A consumer acknowledged a message: from this instant,
+    /// `is_acked(region, id)` holds (work-queue visibility semantics).
+    QueueAcked {
+        /// Queue-store name.
+        store: String,
+        /// Region the ack landed in.
+        region: Region,
+        /// Message id.
+        id: u64,
+        /// Virtual instant of the ack.
+        at: SimTime,
+    },
+}
+
+impl VisibilityEvent {
+    /// The virtual instant the event occurred at.
+    pub fn at(&self) -> SimTime {
+        match self {
+            VisibilityEvent::KvApplied { at, .. }
+            | VisibilityEvent::QueueDelivered { at, .. }
+            | VisibilityEvent::QueueAcked { at, .. } => *at,
+        }
+    }
+}
 
 /// One event of the simulation trace the detector consumes.
 #[derive(Clone, Debug)]
@@ -74,42 +131,8 @@ pub enum TraceEvent {
         /// Virtual instant of the receive.
         at: SimTime,
     },
-    /// A KV replica applied a write: `key` at `region` has now seen
-    /// versions up to `watermark` (visibility is monotone in the version).
-    KvApplied {
-        /// Store name.
-        store: String,
-        /// Region whose replica applied.
-        region: Region,
-        /// Key written.
-        key: String,
-        /// Highest version seen for `key` at this replica.
-        watermark: u64,
-        /// Virtual instant of the apply.
-        at: SimTime,
-    },
-    /// A queue delivered message `id` in `region`.
-    QueueDelivered {
-        /// Queue-store name.
-        store: String,
-        /// Region of delivery.
-        region: Region,
-        /// Message id (the version in write identifiers).
-        id: u64,
-        /// Virtual instant of the delivery.
-        at: SimTime,
-    },
-    /// A consumer acknowledged message `id` in `region`.
-    QueueAcked {
-        /// Queue-store name.
-        store: String,
-        /// Region of the ack.
-        region: Region,
-        /// Message id.
-        id: u64,
-        /// Virtual instant of the ack.
-        at: SimTime,
-    },
+    /// A store made a write visible (or acknowledged) in a region.
+    Visibility(VisibilityEvent),
     /// Process `proc` reached a candidate read location.
     Checkpoint {
         /// Process name.
@@ -131,10 +154,8 @@ impl TraceEvent {
             TraceEvent::Write { at, .. }
             | TraceEvent::Send { at, .. }
             | TraceEvent::Recv { at, .. }
-            | TraceEvent::KvApplied { at, .. }
-            | TraceEvent::QueueDelivered { at, .. }
-            | TraceEvent::QueueAcked { at, .. }
             | TraceEvent::Checkpoint { at, .. } => *at,
+            TraceEvent::Visibility(v) => v.at(),
         }
     }
 }
@@ -237,30 +258,30 @@ impl RaceDetector {
                     self.tick(proc).merge(&snapshot);
                 }
             }
-            TraceEvent::KvApplied {
+            TraceEvent::Visibility(VisibilityEvent::KvApplied {
                 store,
                 region,
                 key,
                 watermark,
                 ..
-            } => {
+            }) => {
                 let slot = self
                     .kv_watermarks
                     .entry((store.clone(), *region, key.clone()))
                     .or_insert(0);
                 *slot = (*slot).max(*watermark);
             }
-            TraceEvent::QueueDelivered {
+            TraceEvent::Visibility(VisibilityEvent::QueueDelivered {
                 store, region, id, ..
-            } => {
+            }) => {
                 self.delivered
                     .entry((store.clone(), *region))
                     .or_default()
                     .insert(*id);
             }
-            TraceEvent::QueueAcked {
+            TraceEvent::Visibility(VisibilityEvent::QueueAcked {
                 store, region, id, ..
-            } => {
+            }) => {
                 self.acked
                     .entry((store.clone(), *region))
                     .or_default()
@@ -370,25 +391,25 @@ mod tests {
                 write: w("posts", "p1", 1),
                 at: t(0),
             },
-            TraceEvent::KvApplied {
+            TraceEvent::Visibility(VisibilityEvent::KvApplied {
                 store: "posts".into(),
                 region: EU,
                 key: "p1".into(),
                 watermark: 1,
                 at: t(1),
-            },
+            }),
             TraceEvent::Send {
                 proc: "writer".into(),
                 channel: "notif".into(),
                 msg: 1,
                 at: t(2),
             },
-            TraceEvent::QueueDelivered {
+            TraceEvent::Visibility(VisibilityEvent::QueueDelivered {
                 store: "notif".into(),
                 region: US,
                 id: 1,
                 at: t(50),
-            },
+            }),
             TraceEvent::Recv {
                 proc: "reader".into(),
                 channel: "notif".into(),
@@ -424,19 +445,19 @@ mod tests {
                 msg: 1,
                 at: t(1),
             },
-            TraceEvent::KvApplied {
+            TraceEvent::Visibility(VisibilityEvent::KvApplied {
                 store: "posts".into(),
                 region: US,
                 key: "p1".into(),
                 watermark: 1,
                 at: t(40),
-            },
-            TraceEvent::QueueDelivered {
+            }),
+            TraceEvent::Visibility(VisibilityEvent::QueueDelivered {
                 store: "notif".into(),
                 region: US,
                 id: 1,
                 at: t(50),
-            },
+            }),
             TraceEvent::Recv {
                 proc: "reader".into(),
                 channel: "notif".into(),
@@ -496,13 +517,13 @@ mod tests {
             },
             // The replica saw version 5 (a newer write) before the reader
             // checked: version 3 counts as visible.
-            TraceEvent::KvApplied {
+            TraceEvent::Visibility(VisibilityEvent::KvApplied {
                 store: "db".into(),
                 region: US,
                 key: "k".into(),
                 watermark: 5,
                 at: t(20),
-            },
+            }),
             TraceEvent::Recv {
                 proc: "reader".into(),
                 channel: "q".into(),
@@ -567,12 +588,12 @@ mod tests {
     #[test]
     fn acks_are_tracked_for_work_queue_semantics() {
         let mut d = RaceDetector::new();
-        d.observe(&TraceEvent::QueueAcked {
+        d.observe(&TraceEvent::Visibility(VisibilityEvent::QueueAcked {
             store: "amq".into(),
             region: EU,
             id: 4,
             at: t(5),
-        });
+        }));
         assert!(d.is_acked("amq", EU, 4));
         assert!(!d.is_acked("amq", US, 4));
         assert!(!d.is_acked("amq", EU, 5));

@@ -310,7 +310,7 @@ impl<S: Substrate> Engine<S> {
     pub(crate) fn flush_pair(&self, origin: Region, dest: Region) {
         let now = self.inner.sim.now();
         let batched = self.inner.batching.get();
-        stats::count_fanout_event();
+        stats::count_fanout_events(1);
         let mut deliver = self.inner.deliver_scratch.take();
         deliver.clear();
         // Phase transitions. Due entries pop in (due, seq) order; samples for

@@ -292,9 +292,11 @@ impl<S: Substrate> Engine<S> {
         *self.inner.probe.borrow_mut() = probe;
     }
 
-    pub(crate) fn emit(&self, event: VisibilityEvent) {
+    /// Hands the probe, if one is installed, the event `build` returns; with
+    /// no probe the event (and its store-name `String`) is never built.
+    pub(crate) fn emit(&self, build: impl FnOnce() -> VisibilityEvent) {
         if let Some(p) = self.inner.probe.borrow().clone() {
-            p(&event);
+            p(&build());
         }
     }
 
@@ -358,7 +360,7 @@ impl<S: Substrate> Engine<S> {
         // replica cannot bound, so nothing it serves can be trusted until
         // anti-entropy back-fills it from healthy peers.
         if self.replica_health(region) == ReplicaHealth::Tainted {
-            stats::count_integrity_refusal();
+            stats::count_integrity_refusals(1);
             return Err(StoreError::IntegrityFault {
                 store: self.inner.name.clone(),
                 region,
@@ -425,7 +427,7 @@ impl<S: Substrate> Engine<S> {
         let version = self.inner.next_version.get();
         self.inner.next_version.set(version + 1);
         let committed_at = self.inner.sim.now();
-        stats::count_commit();
+        stats::count_commits(1);
         // One shared key allocation for the whole fan-out (and `Bytes`
         // clones are refcount bumps), so a commit's per-destination cost is
         // independent of key and value size. Re-writes of a key the origin

@@ -7,67 +7,12 @@
 //! every visibility-changing event: a replication apply, a queue delivery,
 //! a consumer acknowledgement. Probes are observation-only — they run
 //! synchronously at the event's virtual instant and must not re-enter the
-//! store.
+//! store. The event type lives in `antipode::race`, whose detector consumes it
+//! unchanged.
 
 use std::rc::Rc;
 
-use antipode_sim::{Region, SimTime};
-
-/// One visibility-changing event observed inside a store framework.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum VisibilityEvent {
-    /// A KV replica applied (or acknowledged, for superseded versions) a
-    /// write: from this instant, `is_visible(region, key, version)` holds
-    /// for every `version ≤ watermark`.
-    KvApplied {
-        /// Store name (as used in write identifiers).
-        store: String,
-        /// Region whose replica applied the write.
-        region: Region,
-        /// Key written.
-        key: String,
-        /// Highest version the replica has now seen for `key` (watermark —
-        /// visibility is monotone in the version).
-        watermark: u64,
-        /// Virtual instant of the apply.
-        at: SimTime,
-    },
-    /// A queue delivered a message in a region: from this instant,
-    /// `is_visible(region, id)` holds.
-    QueueDelivered {
-        /// Queue-store name.
-        store: String,
-        /// Region the message was delivered in.
-        region: Region,
-        /// Message id (the version in write identifiers).
-        id: u64,
-        /// Virtual instant of the delivery.
-        at: SimTime,
-    },
-    /// A consumer acknowledged a message: from this instant,
-    /// `is_acked(region, id)` holds (work-queue visibility semantics).
-    QueueAcked {
-        /// Queue-store name.
-        store: String,
-        /// Region the ack landed in.
-        region: Region,
-        /// Message id.
-        id: u64,
-        /// Virtual instant of the ack.
-        at: SimTime,
-    },
-}
-
-impl VisibilityEvent {
-    /// The virtual instant the event occurred at.
-    pub fn at(&self) -> SimTime {
-        match self {
-            VisibilityEvent::KvApplied { at, .. }
-            | VisibilityEvent::QueueDelivered { at, .. }
-            | VisibilityEvent::QueueAcked { at, .. } => *at,
-        }
-    }
-}
+pub use antipode::race::VisibilityEvent;
 
 /// An observation hook; see the module docs.
 pub type VisibilityProbe = Rc<dyn Fn(&VisibilityEvent)>;

@@ -244,7 +244,7 @@ impl QueueStore {
                 }
             }
         }
-        self.engine.emit(VisibilityEvent::QueueAcked {
+        self.engine.emit(|| VisibilityEvent::QueueAcked {
             store: self.engine.name().to_string(),
             region,
             id,

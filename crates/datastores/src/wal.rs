@@ -10,8 +10,7 @@
 //!
 //! - Every [`WalEntry`] is framed as `[u32 len][u32 crc32c(body)][body]`
 //!   (little-endian, fixed-width body fields). The checksum is the
-//!   hand-rolled Castagnoli from [`antipode_lineage::crc32c`] — the same
-//!   one sealing v2 lineage wire frames.
+//!   hand-rolled Castagnoli from [`antipode_lineage::crc32c`].
 //! - [`WalLog::scan`] walks the frames in order and stops at the **first**
 //!   bad one, reporting its exact byte offset and how it failed:
 //!   [`WalFaultKind::TornFrame`] (the frame runs past the end of the log —

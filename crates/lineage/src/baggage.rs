@@ -4,24 +4,17 @@
 //! Baggage is a string-keyed map propagated with every RPC and queue message.
 //! The lineage rides in a structural slot next to the entries, so injecting
 //! it ([`Baggage::set_lineage`]) is an O(1) clone — no encoding happens until
-//! the baggage actually crosses a wire. Two wire forms exist:
-//!
-//! - [`Baggage::to_header`]/[`Baggage::from_header`] — the textual v1 form
-//!   (`k=v` pairs, lineage as base64 under [`LINEAGE_KEY`]), byte-identical
-//!   to the pre-slot implementation and kept as the compat codec;
-//! - [`Baggage::to_frame`]/[`Baggage::from_frame`] — the flat binary form:
-//!   varint-prefixed entry strings plus the lineage's self-delimiting v2
-//!   frame, with no base64 expansion and no percent-escaping.
+//! the baggage actually crosses a wire, as the textual header of
+//! [`Baggage::to_header`]/[`Baggage::from_header`]: `k=v` pairs with the
+//! lineage as base64 of its wire bytes under [`LINEAGE_KEY`].
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use bytes::{Buf, BufMut};
-
 use crate::base64;
 use crate::lineage::Lineage;
-use crate::varint::{get_str, get_varint, put_str, put_varint, CodecError};
+use crate::varint::CodecError;
 
 /// Baggage key under which the serialized lineage travels.
 pub const LINEAGE_KEY: &str = "antipode-lineage";
@@ -132,9 +125,9 @@ impl Baggage {
     }
 
     /// Stores a lineage in the structural slot: an O(1) clone (`Rc` bumps),
-    /// no encoding. The textual or binary form is produced lazily — and
-    /// served from the lineage's own caches — only when the baggage is
-    /// rendered by [`Baggage::to_header`] or [`Baggage::to_frame`].
+    /// no encoding. The textual form is produced lazily — and served from
+    /// the lineage's own caches — only when the baggage is rendered by
+    /// [`Baggage::to_header`].
     pub fn set_lineage(&mut self, lineage: &Lineage) {
         self.entries.remove(LINEAGE_KEY);
         self.decoded.take();
@@ -143,11 +136,10 @@ impl Baggage {
 
     /// Extracts the lineage, if any.
     ///
-    /// A structural lineage (set by [`Baggage::set_lineage`] or decoded by
-    /// [`Baggage::from_frame`]) is returned by clone. Otherwise the raw
-    /// [`LINEAGE_KEY`] entry is decoded — once: later calls clone the first
-    /// result. When that payload is canonical, the
-    /// decoded lineage adopts both the wire bytes and the incoming base64
+    /// A structural lineage (set by [`Baggage::set_lineage`]) is returned by
+    /// clone. Otherwise the raw [`LINEAGE_KEY`] entry is decoded — once:
+    /// later calls clone the first result. When that payload is canonical,
+    /// the decoded lineage adopts both the wire bytes and the incoming base64
     /// string as its caches, so forwarding it unchanged into the next hop's
     /// baggage re-uses the exact header value with no re-encoding.
     pub fn lineage(&self) -> Result<Lineage, BaggageError> {
@@ -258,84 +250,6 @@ impl Baggage {
     pub fn header_size(&self) -> usize {
         self.to_header().len()
     }
-
-    /// Renders the flat binary frame: `[varint n][k v string pairs…]`
-    /// followed by a presence byte and, if present, the lineage's
-    /// self-delimiting v2 frame. No base64 (saves the ~33% expansion), no
-    /// escaping, and the lineage bytes come straight from the frame cache —
-    /// a pass-through hop memcpys cached bytes and encodes nothing.
-    pub fn to_frame(&self) -> Vec<u8> {
-        let lin_frame = match &self.lineage {
-            Some(l) => Some(l.frame_bytes()),
-            // Compat: a raw base64 entry still travels as a binary frame.
-            None => match self.lineage() {
-                Ok(l) => Some(l.frame_bytes()),
-                Err(_) => None,
-            },
-        };
-        let mut buf = Vec::with_capacity(64 + lin_frame.as_ref().map_or(0, |f| f.len()));
-        let n = self
-            .entries
-            .iter()
-            .filter(|(k, _)| k.as_str() != LINEAGE_KEY)
-            .count();
-        put_varint(&mut buf, n as u64);
-        for (k, v) in &self.entries {
-            if k.as_str() == LINEAGE_KEY {
-                continue;
-            }
-            put_str(&mut buf, k);
-            put_str(&mut buf, v);
-        }
-        match lin_frame {
-            Some(f) => {
-                buf.put_u8(1);
-                buf.extend_from_slice(&f);
-            }
-            None => buf.put_u8(0),
-        }
-        buf
-    }
-
-    /// Parses a frame produced by [`Baggage::to_frame`]. Unlike headers,
-    /// frames are machine-built, so corruption is an error, not something to
-    /// skip past. A canonical embedded lineage lands in the structural slot
-    /// with its frame cache adopted — re-rendering is a memcpy.
-    pub fn from_frame(bytes: &[u8]) -> Result<Baggage, BaggageError> {
-        let total_len = bytes.len();
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let n = get_varint(buf).map_err(BaggageError::Codec)? as usize;
-        // Each entry costs at least two 1-byte length prefixes.
-        if n > buf.remaining() / 2 {
-            return Err(BaggageError::Codec(CodecError::LengthOutOfBounds));
-        }
-        let mut b = Baggage::new();
-        for _ in 0..n {
-            let k = get_str(buf).map_err(BaggageError::Codec)?;
-            let v = get_str(buf).map_err(BaggageError::Codec)?;
-            b.entries.insert(k.to_owned(), v.to_owned());
-        }
-        if !buf.has_remaining() {
-            return Err(BaggageError::Codec(CodecError::UnexpectedEof));
-        }
-        match buf.get_u8() {
-            0 => {}
-            1 => {
-                let consumed = total_len - buf.remaining();
-                let (lineage, _) =
-                    Lineage::decode_frame(&bytes[consumed..]).map_err(BaggageError::Codec)?;
-                b.lineage = Some(lineage);
-            }
-            _ => return Err(BaggageError::Codec(CodecError::LengthOutOfBounds)),
-        }
-        Ok(b)
-    }
-
-    /// Size in bytes of the binary frame form.
-    pub fn frame_size(&self) -> usize {
-        self.to_frame().len()
-    }
 }
 
 /// Appends `s` to `out`, percent-escaping `%`, `,` and `=`: runs between
@@ -422,13 +336,9 @@ mod tests {
         let _ = b.lineage().unwrap();
         let after = crate::stats::snapshot();
         assert_eq!(
-            (after.wire_encodes, after.b64_encodes, after.frame_encodes),
-            (
-                before.wire_encodes,
-                before.b64_encodes,
-                before.frame_encodes
-            ),
-            "slot-based inject/extract must not touch any codec"
+            (after.wire_encodes, after.b64_encodes),
+            (before.wire_encodes, before.b64_encodes),
+            "slot-based inject/extract must not touch the codec"
         );
     }
 
@@ -567,62 +477,5 @@ mod tests {
         b.set_lineage(&Lineage::new(LineageId(1)));
         b.clear_lineage();
         assert_eq!(b.lineage(), Err(BaggageError::Missing));
-    }
-
-    #[test]
-    fn frame_round_trip() {
-        let mut l = Lineage::new(LineageId(42));
-        l.append(WriteId::new("s3", "obj/1", 1));
-        let mut b = Baggage::new();
-        b.set_lineage(&l);
-        b.set("request-id", "r-17");
-        let frame = b.to_frame();
-        let back = Baggage::from_frame(&frame).unwrap();
-        assert_eq!(back.lineage().unwrap(), l);
-        assert_eq!(back.get("request-id"), Some("r-17"));
-        assert_eq!(back, b);
-    }
-
-    #[test]
-    fn frame_without_lineage() {
-        let mut b = Baggage::new();
-        b.set("k", "v");
-        let back = Baggage::from_frame(&b.to_frame()).unwrap();
-        assert_eq!(back, b);
-        assert_eq!(back.lineage(), Err(BaggageError::Missing));
-    }
-
-    #[test]
-    fn frame_is_smaller_than_header_with_lineage() {
-        let mut l = Lineage::new(LineageId(7));
-        for i in 0..16 {
-            l.append(WriteId::new("post-storage", format!("post-{i}"), i + 1));
-        }
-        let mut b = Baggage::new();
-        b.set_lineage(&l);
-        assert!(
-            b.frame_size() < b.header_size(),
-            "binary frame ({}) must beat base64 header ({})",
-            b.frame_size(),
-            b.header_size()
-        );
-    }
-
-    #[test]
-    fn frame_rejects_garbage() {
-        assert!(Baggage::from_frame(&[]).is_err());
-        // Hostile entry count with no bytes behind it.
-        let mut buf = Vec::new();
-        put_varint(&mut buf, u64::MAX);
-        assert!(Baggage::from_frame(&buf).is_err());
-        // Truncated: presence byte missing.
-        let mut b = Baggage::new();
-        b.set("k", "v");
-        let frame = b.to_frame();
-        assert!(Baggage::from_frame(&frame[..frame.len() - 1]).is_err());
-        // Bad presence byte.
-        let mut bad = frame.clone();
-        *bad.last_mut().unwrap() = 7;
-        assert!(Baggage::from_frame(&bad).is_err());
     }
 }

@@ -1,5 +1,5 @@
 //! Hand-rolled CRC32C (Castagnoli, the iSCSI/ext4 polynomial), the checksum
-//! behind the self-validating WAL frames and the v2 lineage frame trailer.
+//! behind the self-validating WAL frames.
 //! No external dependency, mirroring the hand-rolled [`crate::base64`]: the
 //! integrity experiments should measure a realistic checksum, not a stub.
 //!

@@ -1,6 +1,6 @@
 //! # antipode-lineage
 //!
-//! Lineages, write identifiers, wire codecs, baggage propagation, and the
+//! Lineages, write identifiers, the wire codec, baggage propagation, and the
 //! formal cross-service causal consistency (XCY) model from *Antipode:
 //! Enforcing Cross-Service Causal Consistency in Distributed Applications*
 //! (SOSP 2023).
@@ -12,12 +12,11 @@
 //!   paper's §7.4 metadata experiments measure;
 //! - [`interner`]: the deterministic datastore-name interner;
 //! - [`crc32c`]: hand-rolled Castagnoli checksum (like the hand-rolled
-//!   [`base64`]) sealing WAL records and v2 wire frames;
+//!   [`base64`]) sealing WAL records;
 //! - [`stats`]: lineage-plane counters (allocation proxy for perf baselines);
 //! - [`Baggage`]: OpenTelemetry-style request-context propagation (§6.2);
 //! - [`model`]: the formal ↝ relation and an execution checker that
 //!   distinguishes Lamport causality from XCY (§4, Fig 3);
-//! - [`lineage_dag`]: the appendix-B lineage DAG;
 //! - [`vector_clock`]: the classical alternative, kept for the §3.2 ablation.
 //!
 //! ```
@@ -48,7 +47,6 @@ pub mod base64;
 pub mod crc32c;
 pub mod interner;
 pub mod lineage;
-pub mod lineage_dag;
 pub mod model;
 pub mod stats;
 pub mod varint;
@@ -58,7 +56,6 @@ pub mod write_id;
 pub use baggage::{Baggage, BaggageError, LINEAGE_KEY};
 pub use interner::StoreId;
 pub use lineage::{Lineage, LineageId};
-pub use lineage_dag::{Action, DagError, LineageDag, ServiceId, Vertex};
 pub use model::{Causality, Execution, Op, ProcId, Violation};
 pub use stats::LineageStats;
 pub use varint::CodecError;

@@ -46,19 +46,6 @@ impl fmt::Display for LineageId {
 /// Wire format version for [`Lineage::serialize`].
 const WIRE_VERSION: u8 = 1;
 
-/// Version byte of the flat v2 frame: `[0x02][varint len][body][crc]` where
-/// the body is byte-identical to the v1 payload minus its version byte and
-/// `crc` is the little-endian CRC32C of the body. The length prefix (which
-/// covers body + trailer) makes the frame self-delimiting, so it can be
-/// embedded in larger binary messages ([`crate::Baggage::to_frame`], engine
-/// envelopes) without base64 or escaping; the trailer makes in-frame
-/// corruption detectable instead of decodable. Early v2 frames carried no
-/// trailer; the decoder still accepts them (see [`Lineage::decode_frame`]).
-const FRAME_VERSION: u8 = 2;
-
-/// Width of the v2 frame's trailing CRC32C.
-const FRAME_CRC_LEN: usize = 4;
-
 /// The shared empty dep vector: `Lineage::new` is allocation-free until the
 /// first append materializes a private vector via copy-on-write.
 fn empty_deps() -> Rc<Vec<WriteId>> {
@@ -77,8 +64,6 @@ pub struct Lineage {
     wire: RefCell<Option<Rc<[u8]>>>,
     /// Cached base64 of the wire encoding (the baggage form).
     b64: RefCell<Option<Rc<str>>>,
-    /// Cached v2 flat frame (the binary baggage/envelope form).
-    frame: RefCell<Option<Rc<[u8]>>>,
 }
 
 impl Clone for Lineage {
@@ -88,7 +73,6 @@ impl Clone for Lineage {
             deps: Rc::clone(&self.deps),
             wire: RefCell::new(self.wire.borrow().clone()),
             b64: RefCell::new(self.b64.borrow().clone()),
-            frame: RefCell::new(self.frame.borrow().clone()),
         }
     }
 }
@@ -116,7 +100,6 @@ impl Lineage {
             deps: empty_deps(),
             wire: RefCell::new(None),
             b64: RefCell::new(None),
-            frame: RefCell::new(None),
         }
     }
 
@@ -128,14 +111,13 @@ impl Lineage {
     fn invalidate_cache(&mut self) {
         *self.wire.borrow_mut() = None;
         *self.b64.borrow_mut() = None;
-        *self.frame.borrow_mut() = None;
     }
 
     /// Mutable access to the dep vector, materializing a private copy if the
     /// current one is shared (copy-on-write).
     fn deps_mut(&mut self) -> &mut Vec<WriteId> {
         if Rc::strong_count(&self.deps) > 1 {
-            stats::count_cow_dep_clone();
+            stats::count_cow_dep_clone(1);
         }
         Rc::make_mut(&mut self.deps)
     }
@@ -242,10 +224,10 @@ impl Lineage {
     /// unchanged lineage costs: an `Rc` bump.
     pub fn wire_bytes(&self) -> Rc<[u8]> {
         if let Some(cached) = &*self.wire.borrow() {
-            stats::count_wire_cache_hit();
+            stats::count_wire_cache_hit(1);
             return Rc::clone(cached);
         }
-        stats::count_wire_encode();
+        stats::count_wire_encode(1);
         let rc: Rc<[u8]> = self.encode().into();
         *self.wire.borrow_mut() = Some(Rc::clone(&rc));
         rc
@@ -255,51 +237,13 @@ impl Lineage {
     /// — cached with the same dirty-tracking.
     pub fn wire_b64(&self) -> Rc<str> {
         if let Some(cached) = &*self.b64.borrow() {
-            stats::count_b64_cache_hit();
+            stats::count_b64_cache_hit(1);
             return Rc::clone(cached);
         }
-        stats::count_b64_encode();
+        stats::count_b64_encode(1);
         let rc: Rc<str> = crate::base64::encode(&self.wire_bytes()).into();
         *self.b64.borrow_mut() = Some(Rc::clone(&rc));
         rc
-    }
-
-    /// The flat v2 frame as shared bytes, (re-)encoding only if the lineage
-    /// changed since the last call. The frame is `[0x02][varint body-len]`
-    /// followed by the v1 body, so it is self-delimiting: it can be embedded
-    /// directly in binary messages with no base64 expansion (~33%) and no
-    /// percent-escaping. Cached with the same dirty-tracking as
-    /// [`Lineage::wire_bytes`].
-    pub fn frame_bytes(&self) -> Rc<[u8]> {
-        if let Some(cached) = &*self.frame.borrow() {
-            stats::count_frame_cache_hit();
-            return Rc::clone(cached);
-        }
-        stats::count_frame_encode();
-        let rc: Rc<[u8]> = self.encode_frame().into();
-        *self.frame.borrow_mut() = Some(Rc::clone(&rc));
-        rc
-    }
-
-    /// The v2 frame size in bytes. Served from the frame cache.
-    pub fn frame_size(&self) -> usize {
-        self.frame_bytes().len()
-    }
-
-    /// Assembles the v2 frame from the (cached) v1 wire form: the body is
-    /// shared byte-for-byte between the two versions, so this is a memcpy
-    /// plus a ≤10-byte prefix and a 4-byte CRC32C trailer — no second dep
-    /// traversal.
-    fn encode_frame(&self) -> Vec<u8> {
-        let wire = self.wire_bytes();
-        let body = &wire[1..];
-        let declared = body.len() + FRAME_CRC_LEN;
-        let mut buf = Vec::with_capacity(1 + varint_len(declared as u64) + declared);
-        buf.put_u8(FRAME_VERSION);
-        put_varint(&mut buf, declared as u64);
-        buf.extend_from_slice(body);
-        buf.extend_from_slice(&crate::crc32c::crc32c(body).to_le_bytes());
-        buf
     }
 
     /// Adopts `b64` as the cached base64 form. Crate-internal: the caller
@@ -358,10 +302,9 @@ impl Lineage {
         buf
     }
 
-    /// Decodes the wire format produced by [`Lineage::serialize`] (v1) or
-    /// [`Lineage::frame_bytes`] (v2): the version byte selects the codec, so
-    /// a v2-speaking reader transparently accepts v1 writers (and vice
-    /// versa — v1 bytes are never reinterpreted).
+    /// Decodes the wire format produced by [`Lineage::serialize`]. Any
+    /// leading byte other than the v1 version is
+    /// [`CodecError::UnknownVersion`].
     ///
     /// Length guards are strict: declared counts are validated against the
     /// bytes actually remaining (a name costs ≥ 1 byte, a dependency ≥ 3),
@@ -373,18 +316,12 @@ impl Lineage {
     /// of re-encoding.
     pub fn deserialize(bytes: &[u8]) -> Result<Lineage, CodecError> {
         match bytes.first() {
-            None => Err(CodecError::UnexpectedEof),
-            Some(&WIRE_VERSION) => Self::decode_v1(bytes),
-            Some(&FRAME_VERSION) => Self::decode_frame(bytes).map(|(lineage, _)| lineage),
-            Some(&other) => Err(CodecError::UnknownVersion(other)),
+            None => return Err(CodecError::UnexpectedEof),
+            Some(&WIRE_VERSION) => {}
+            Some(&other) => return Err(CodecError::UnknownVersion(other)),
         }
-    }
-
-    /// The v1 compat path: body decode plus canonical adoption into the
-    /// wire cache.
-    fn decode_v1(bytes: &[u8]) -> Result<Lineage, CodecError> {
         let total_len = bytes.len();
-        let mut slice = &bytes[1..]; // version byte checked by the dispatcher
+        let mut slice = &bytes[1..];
         let buf = &mut slice;
         let body = decode_body(buf)?;
         let consumed = total_len - buf.remaining();
@@ -393,76 +330,11 @@ impl Lineage {
         let canonical = body.canonical && consumed == 1 + body.canonical_len;
         let lineage = body.into_lineage(canonical);
         if canonical {
-            stats::count_canonical_decode();
+            stats::count_canonical_decode(1);
             *lineage.wire.borrow_mut() = Some(bytes[..consumed].into());
             debug_assert_eq!(lineage.encode().as_slice(), &bytes[..consumed]);
         }
         Ok(lineage)
-    }
-
-    /// Decodes a v2 flat frame from the front of `bytes`, returning the
-    /// lineage and the number of bytes consumed. The frame is
-    /// self-delimiting, so trailing bytes are left for the caller — this is
-    /// what lets frames embed in binary baggage and engine envelopes.
-    ///
-    /// The declared length must delimit the payload exactly: either the body
-    /// alone (an early v2 writer, pre-CRC — accepted for compatibility) or
-    /// the body plus a 4-byte CRC32C trailer, which is then verified —
-    /// a mismatch is [`CodecError::ChecksumMismatch`], never a silently
-    /// different lineage. Canonical sealed frames are adopted as the cached
-    /// frame form: decode→forward of an unchanged lineage re-emits the exact
-    /// input bytes.
-    pub fn decode_frame(bytes: &[u8]) -> Result<(Lineage, usize), CodecError> {
-        let total_len = bytes.len();
-        let mut slice = bytes;
-        let buf = &mut slice;
-        if !buf.has_remaining() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let version = buf.get_u8();
-        if version != FRAME_VERSION {
-            return Err(CodecError::UnknownVersion(version));
-        }
-        let declared = get_varint(buf)? as usize;
-        if declared > buf.remaining() {
-            return Err(CodecError::LengthOutOfBounds);
-        }
-        let prefix_len = total_len - buf.remaining();
-        let mut body_slice = &bytes[prefix_len..prefix_len + declared];
-        let body_buf = &mut body_slice;
-        let body = decode_body(body_buf)?;
-        let body_len = declared - body_buf.remaining();
-        // What remains of the declared window after the body is the trailer:
-        // absent (legacy v2 writer) or exactly one CRC32C. Anything else is
-        // a framing violation, not trailing data.
-        let sealed = match body_buf.remaining() {
-            0 => false,
-            FRAME_CRC_LEN => {
-                let body_bytes = &bytes[prefix_len..prefix_len + body_len];
-                let mut trailer = [0u8; FRAME_CRC_LEN];
-                trailer.copy_from_slice(&bytes[prefix_len + body_len..prefix_len + declared]);
-                if crate::crc32c::crc32c(body_bytes) != u32::from_le_bytes(trailer) {
-                    return Err(CodecError::ChecksumMismatch);
-                }
-                true
-            }
-            _ => return Err(CodecError::LengthOutOfBounds),
-        };
-        let consumed = prefix_len + declared;
-        let canonical = sealed
-            && body.canonical
-            && body_len == body.canonical_len
-            && prefix_len == 1 + varint_len(declared as u64);
-        let lineage = body.into_lineage(canonical);
-        if canonical {
-            stats::count_canonical_decode();
-            *lineage.frame.borrow_mut() = Some(bytes[..consumed].into());
-            debug_assert_eq!(
-                &lineage.encode()[1..],
-                &bytes[prefix_len..prefix_len + body_len]
-            );
-        }
-        Ok((lineage, consumed))
     }
 
     /// The serialized size in bytes. Served from the wire cache — never
@@ -472,7 +344,7 @@ impl Lineage {
     }
 }
 
-/// Result of decoding the body shared by the v1 and v2 wire forms:
+/// Result of decoding the wire body after its version byte:
 /// `[varint id][string table][deps]`.
 struct BodyDecode {
     id: u64,
@@ -503,12 +375,11 @@ impl BodyDecode {
             },
             wire: RefCell::new(None),
             b64: RefCell::new(None),
-            frame: RefCell::new(None),
         }
     }
 }
 
-/// Decodes the version-independent body, tracking canonicality as it parses.
+/// Decodes the wire body, tracking canonicality as it parses.
 fn decode_body(buf: &mut &[u8]) -> Result<BodyDecode, CodecError> {
     let id = get_varint(buf)?;
     // Canonical minimal length, accumulated as we parse; the caller compares
@@ -851,142 +722,6 @@ mod tests {
             Lineage::deserialize(&buf),
             Err(CodecError::LengthOutOfBounds)
         );
-    }
-
-    #[test]
-    fn frame_round_trip_and_cache() {
-        let mut l = Lineage::new(LineageId(0xabc));
-        l.append(wid("posts", "p-1", 3));
-        l.append(wid("notifier", "n-9", 1));
-        let frame = l.frame_bytes();
-        assert_eq!(frame[0], 2, "v2 frames carry version byte 2");
-        let again = l.frame_bytes();
-        assert!(
-            Rc::ptr_eq(&frame, &again),
-            "unchanged lineage: frame cached"
-        );
-        let (back, consumed) = Lineage::decode_frame(&frame).unwrap();
-        assert_eq!(consumed, frame.len());
-        assert_eq!(back, l);
-        // deserialize dispatches on the version byte: both codecs accepted.
-        assert_eq!(Lineage::deserialize(&frame).unwrap(), l);
-        assert_eq!(Lineage::deserialize(&l.serialize()).unwrap(), l);
-    }
-
-    #[test]
-    fn frame_shares_body_with_v1() {
-        let mut l = Lineage::new(LineageId(7));
-        l.append(wid("s", "k", 1));
-        let wire = l.wire_bytes();
-        let frame = l.frame_bytes();
-        // [0x02][varint len][v1 body][crc32c(body)]
-        let body = &wire[1..];
-        let crc_at = frame.len() - 4;
-        assert_eq!(&frame[crc_at - body.len()..crc_at], body);
-        assert_eq!(&frame[crc_at..], crate::crc32c::crc32c(body).to_le_bytes());
-    }
-
-    #[test]
-    fn legacy_v2_frame_without_crc_still_decodes() {
-        // An early v2 writer emitted [0x02][varint body-len][body] with no
-        // trailer; the declared length delimiting exactly the body is what
-        // identifies it.
-        let mut l = Lineage::new(LineageId(7));
-        l.append(wid("s", "k", 1));
-        let wire = l.wire_bytes();
-        let body = &wire[1..];
-        let mut legacy = vec![2u8];
-        put_varint(&mut legacy, body.len() as u64);
-        legacy.extend_from_slice(body);
-        let (back, consumed) = Lineage::decode_frame(&legacy).unwrap();
-        assert_eq!(consumed, legacy.len());
-        assert_eq!(back, l);
-        // Legacy frames are never adopted as the cache: re-encoding seals
-        // them with the trailer.
-        let sealed = back.frame_bytes();
-        assert_eq!(sealed.len(), legacy.len() + 4);
-    }
-
-    #[test]
-    fn corrupt_frame_body_is_a_checksum_mismatch() {
-        let mut l = Lineage::new(LineageId(7));
-        l.append(wid("s", "k", 1));
-        let frame = l.frame_bytes().to_vec();
-        // Flip the final body byte (the dep's version varint): structurally
-        // the body still decodes, so only the trailer can catch it.
-        let mut bad = frame.clone();
-        let victim = bad.len() - 5;
-        bad[victim] ^= 0x01;
-        assert_eq!(
-            Lineage::decode_frame(&bad),
-            Err(CodecError::ChecksumMismatch)
-        );
-        // A flipped trailer byte is equally fatal.
-        let mut bad_crc = frame;
-        let last = bad_crc.len() - 1;
-        bad_crc[last] ^= 0x80;
-        assert_eq!(
-            Lineage::decode_frame(&bad_crc),
-            Err(CodecError::ChecksumMismatch)
-        );
-    }
-
-    #[test]
-    fn frame_is_self_delimiting() {
-        let mut l = Lineage::new(LineageId(9));
-        l.append(wid("s", "k", 4));
-        let mut buf = l.frame_bytes().to_vec();
-        buf.extend_from_slice(b"trailing-payload");
-        let (back, consumed) = Lineage::decode_frame(&buf).unwrap();
-        assert_eq!(back, l);
-        assert_eq!(&buf[consumed..], b"trailing-payload");
-    }
-
-    #[test]
-    fn canonical_frame_decode_adopts_input() {
-        let mut l = Lineage::new(LineageId(3));
-        l.append(wid("a", "k1", 1));
-        let frame = l.frame_bytes().to_vec();
-        let before = stats::snapshot().frame_encodes;
-        let (back, _) = Lineage::decode_frame(&frame).unwrap();
-        assert_eq!(back.frame_bytes().as_ref(), frame.as_slice());
-        assert_eq!(
-            stats::snapshot().frame_encodes,
-            before,
-            "decode→forward of a canonical frame must be encode-free"
-        );
-    }
-
-    #[test]
-    fn frame_rejects_bad_length_prefix() {
-        let mut l = Lineage::new(LineageId(1));
-        l.append(wid("s", "k", 1));
-        let frame = l.frame_bytes().to_vec();
-        // Truncated body.
-        assert!(Lineage::decode_frame(&frame[..frame.len() - 1]).is_err());
-        // Length prefix larger than the remaining bytes.
-        let mut over = frame.clone();
-        over[1] = over[1].wrapping_add(40);
-        assert_eq!(
-            Lineage::decode_frame(&over),
-            Err(CodecError::LengthOutOfBounds)
-        );
-        // Length prefix that under-declares the body (decode stops short).
-        let mut under = frame.clone();
-        under[1] -= 1;
-        assert!(Lineage::decode_frame(&under).is_err());
-    }
-
-    #[test]
-    fn mutation_invalidates_the_frame_cache() {
-        let mut l = Lineage::new(LineageId(5));
-        l.append(wid("s", "k", 1));
-        let first = l.frame_bytes();
-        l.append(wid("s", "k2", 2));
-        let second = l.frame_bytes();
-        assert!(!Rc::ptr_eq(&first, &second));
-        let (back, _) = Lineage::decode_frame(&second).unwrap();
-        assert_eq!(back, l);
     }
 
     #[test]

@@ -8,100 +8,77 @@
 //! versus cache hits. They are plain `Cell<u64>` bumps, cheap enough to stay
 //! enabled unconditionally.
 
-use std::cell::Cell;
+/// Declares one set of thread-local `u64` counters: the snapshot struct,
+/// `snapshot()`, `reset()` and a `pub(crate)` bump function per counter
+/// that names one (`sum` adds its argument, `max` keeps the largest). The
+/// cells are `const`-initialised, so a bump is a plain TLS add.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$struct_meta:meta])*
+        pub struct $Stats:ident {
+            $( $(#[$field_meta:meta])* $kind:ident $field:ident $(=> $bump:ident)?, )*
+        }
+    ) => {
+        #[allow(non_upper_case_globals)]
+        mod cells {
+            thread_local! {
+                $( pub(super) static $field: ::std::cell::Cell<u64> =
+                    const { ::std::cell::Cell::new(0) }; )*
+            }
+        }
 
-thread_local! {
-    static COW_DEP_CLONES: Cell<u64> = const { Cell::new(0) };
-    static WIRE_ENCODES: Cell<u64> = const { Cell::new(0) };
-    static WIRE_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
-    static B64_ENCODES: Cell<u64> = const { Cell::new(0) };
-    static B64_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
-    static FRAME_ENCODES: Cell<u64> = const { Cell::new(0) };
-    static FRAME_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
-    static CANONICAL_DECODES: Cell<u64> = const { Cell::new(0) };
+        $(#[$struct_meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $Stats {
+            $( $(#[$field_meta])* pub $field: u64, )*
+        }
+
+        /// Reads the counters.
+        pub fn snapshot() -> $Stats {
+            $Stats { $( $field: cells::$field.with(::std::cell::Cell::get), )* }
+        }
+
+        /// Zeroes the counters (start of a measured workload).
+        pub fn reset() {
+            $( cells::$field.with(|c| c.set(0)); )*
+        }
+
+        $($(
+            pub(crate) fn $bump(n: u64) {
+                cells::$field.with(|c| c.set($crate::counters!(@$kind c.get(), n)));
+            }
+        )?)*
+    };
+    (@sum $current:expr, $n:expr) => { $current + $n };
+    (@max $current:expr, $n:expr) => { $current.max($n) };
 }
 
-/// A snapshot of the lineage-plane counters on this thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LineageStats {
-    /// Times a shared dep vector was deep-copied before mutation (the
-    /// copy-on-write slow path — one `Vec<WriteId>` allocation each).
-    pub cow_dep_clones: u64,
-    /// Times the v1 wire encoding was actually produced (one buffer
-    /// allocation each).
-    pub wire_encodes: u64,
-    /// Times `wire_bytes` was served from the cache (no allocation).
-    pub wire_cache_hits: u64,
-    /// Times the base64 baggage form was actually encoded.
-    pub b64_encodes: u64,
-    /// Times the base64 baggage form was served from the cache.
-    pub b64_cache_hits: u64,
-    /// Times the v2 binary frame was actually assembled (one buffer
-    /// allocation each).
-    pub frame_encodes: u64,
-    /// Times `frame_bytes` was served from the cache (no allocation).
-    pub frame_cache_hits: u64,
-    /// Decodes whose input was byte-for-byte canonical, letting the decoder
-    /// adopt the input as the cached wire form (re-serialization is free).
-    pub canonical_decodes: u64,
-}
-
-/// Reads the counters.
-pub fn snapshot() -> LineageStats {
-    LineageStats {
-        cow_dep_clones: COW_DEP_CLONES.with(Cell::get),
-        wire_encodes: WIRE_ENCODES.with(Cell::get),
-        wire_cache_hits: WIRE_CACHE_HITS.with(Cell::get),
-        b64_encodes: B64_ENCODES.with(Cell::get),
-        b64_cache_hits: B64_CACHE_HITS.with(Cell::get),
-        frame_encodes: FRAME_ENCODES.with(Cell::get),
-        frame_cache_hits: FRAME_CACHE_HITS.with(Cell::get),
-        canonical_decodes: CANONICAL_DECODES.with(Cell::get),
+counters! {
+    /// A snapshot of the lineage-plane counters on this thread.
+    pub struct LineageStats {
+        /// Times a shared dep vector was deep-copied before mutation (the
+        /// copy-on-write slow path — one `Vec<WriteId>` allocation each).
+        sum cow_dep_clones => count_cow_dep_clone,
+        /// Times the v1 wire encoding was actually produced (one buffer
+        /// allocation each).
+        sum wire_encodes => count_wire_encode,
+        /// Times `wire_bytes` was served from the cache (no allocation).
+        sum wire_cache_hits => count_wire_cache_hit,
+        /// Times the base64 baggage form was actually encoded.
+        sum b64_encodes => count_b64_encode,
+        /// Times the base64 baggage form was served from the cache.
+        sum b64_cache_hits => count_b64_cache_hit,
+        /// Always 0: the v2 frame it counted is deleted. Kept because
+        /// `crates/benchmark` reads it; goes when the benchmark next changes.
+        sum frame_encodes,
+        /// Always 0, kept for the same reason as `frame_encodes`.
+        sum frame_cache_hits,
+        /// Decodes whose input was byte-for-byte canonical, letting the decoder
+        /// adopt the input as the cached wire form (re-serialization is free).
+        sum canonical_decodes => count_canonical_decode,
     }
-}
-
-/// Zeroes the counters (start of a measured workload).
-pub fn reset() {
-    COW_DEP_CLONES.with(|c| c.set(0));
-    WIRE_ENCODES.with(|c| c.set(0));
-    WIRE_CACHE_HITS.with(|c| c.set(0));
-    B64_ENCODES.with(|c| c.set(0));
-    B64_CACHE_HITS.with(|c| c.set(0));
-    FRAME_ENCODES.with(|c| c.set(0));
-    FRAME_CACHE_HITS.with(|c| c.set(0));
-    CANONICAL_DECODES.with(|c| c.set(0));
-}
-
-pub(crate) fn count_cow_dep_clone() {
-    COW_DEP_CLONES.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn count_wire_encode() {
-    WIRE_ENCODES.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn count_wire_cache_hit() {
-    WIRE_CACHE_HITS.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn count_b64_encode() {
-    B64_ENCODES.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn count_b64_cache_hit() {
-    B64_CACHE_HITS.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn count_frame_encode() {
-    FRAME_ENCODES.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn count_frame_cache_hit() {
-    FRAME_CACHE_HITS.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn count_canonical_decode() {
-    CANONICAL_DECODES.with(|c| c.set(c.get() + 1));
 }
 
 #[cfg(test)]
@@ -111,10 +88,10 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         reset();
-        count_cow_dep_clone();
-        count_wire_encode();
-        count_wire_encode();
-        count_wire_cache_hit();
+        count_cow_dep_clone(1);
+        count_wire_encode(1);
+        count_wire_encode(1);
+        count_wire_cache_hit(1);
         let s = snapshot();
         assert_eq!(s.cow_dep_clones, 1);
         assert_eq!(s.wire_encodes, 2);

@@ -17,8 +17,6 @@ pub enum CodecError {
     UnknownVersion(u8),
     /// A declared length exceeded the remaining input.
     LengthOutOfBounds,
-    /// A frame's trailing checksum did not match its body.
-    ChecksumMismatch,
 }
 
 impl std::fmt::Display for CodecError {
@@ -29,7 +27,6 @@ impl std::fmt::Display for CodecError {
             CodecError::InvalidUtf8 => write!(f, "string is not valid UTF-8"),
             CodecError::UnknownVersion(v) => write!(f, "unknown wire format version {v}"),
             CodecError::LengthOutOfBounds => write!(f, "declared length exceeds input"),
-            CodecError::ChecksumMismatch => write!(f, "frame checksum does not match body"),
         }
     }
 }

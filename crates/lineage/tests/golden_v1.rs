@@ -10,7 +10,7 @@
 //! written against the format spec, sharing no code with the production
 //! codec — cross-checks both directions on arbitrary lineages.
 
-use antipode_lineage::{Lineage, LineageId, WriteId};
+use antipode_lineage::{crc32c::crc32c, stats, CodecError, Lineage, LineageId, WriteId};
 
 // ---------------------------------------------------------------------------
 // Golden fixtures (captured pre-refactor).
@@ -83,6 +83,34 @@ fn golden_decode_round_trips() {
         let decoded = Lineage::deserialize(bytes).expect("golden bytes decode");
         assert_eq!(decoded, expect);
         assert_eq!(decoded.serialize(), bytes, "decode→encode must be identity");
+    }
+}
+
+#[test]
+fn canonical_golden_bytes_are_adopted_as_the_wire_cache() {
+    // A pass-through hop re-serializes the exact input without an encode.
+    let decoded = Lineage::deserialize(FIXTURE1).unwrap();
+    let before = stats::snapshot();
+    assert_eq!(decoded.serialize(), FIXTURE1, "decode→forward is identity");
+    let after = stats::snapshot();
+    assert_eq!(after.wire_encodes, before.wire_encodes, "no re-encode");
+    assert_eq!(after.wire_cache_hits, before.wire_cache_hits + 1);
+}
+
+#[test]
+fn a_former_v2_frame_is_an_unknown_version() {
+    // `[0x02][varint len][v1 body][crc32c(body)]` was a valid sealed frame
+    // while the v2 codec existed; 0x02 is now a version like any other.
+    for v1 in [FIXTURE1, FIXTURE2, FIXTURE3] {
+        let body = &v1[1..];
+        let mut frame = vec![2u8];
+        reference::put_varint(&mut frame, (body.len() + 4) as u64);
+        frame.extend_from_slice(body);
+        frame.extend_from_slice(&crc32c(body).to_le_bytes());
+        assert_eq!(
+            Lineage::deserialize(&frame),
+            Err(CodecError::UnknownVersion(2))
+        );
     }
 }
 

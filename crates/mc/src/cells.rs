@@ -292,63 +292,27 @@ fn install_probe(
 ) {
     let (trace, log) = (trace.clone(), log.clone());
     let probe: antipode_store::probe::VisibilityProbe = Rc::new(move |e: &VisibilityEvent| {
-        let ev = match e {
+        let us = e.at().as_nanos() / 1_000;
+        match e {
             VisibilityEvent::KvApplied {
                 store,
                 region,
                 key,
                 watermark,
-                at,
-            } => {
-                log.borrow_mut().push(format!(
-                    "[{:>6}us] {}@{}: applied {} v{}",
-                    at.as_nanos() / 1_000,
-                    store,
-                    region.name(),
-                    key,
-                    watermark
-                ));
-                TraceEvent::KvApplied {
-                    store: store.clone(),
-                    region: *region,
-                    key: key.clone(),
-                    watermark: *watermark,
-                    at: *at,
-                }
-            }
+                ..
+            } => log.borrow_mut().push(format!(
+                "[{us:>6}us] {store}@{}: applied {key} v{watermark}",
+                region.name()
+            )),
             VisibilityEvent::QueueDelivered {
-                store,
-                region,
-                id,
-                at,
-            } => {
-                log.borrow_mut().push(format!(
-                    "[{:>6}us] {}@{}: delivered msg-{}",
-                    at.as_nanos() / 1_000,
-                    store,
-                    region.name(),
-                    id
-                ));
-                TraceEvent::QueueDelivered {
-                    store: store.clone(),
-                    region: *region,
-                    id: *id,
-                    at: *at,
-                }
-            }
-            VisibilityEvent::QueueAcked {
-                store,
-                region,
-                id,
-                at,
-            } => TraceEvent::QueueAcked {
-                store: store.clone(),
-                region: *region,
-                id: *id,
-                at: *at,
-            },
-        };
-        trace.borrow_mut().push(ev);
+                store, region, id, ..
+            } => log.borrow_mut().push(format!(
+                "[{us:>6}us] {store}@{}: delivered msg-{id}",
+                region.name()
+            )),
+            VisibilityEvent::QueueAcked { .. } => {}
+        }
+        trace.borrow_mut().push(TraceEvent::Visibility(e.clone()));
     });
     posts.set_probe(Some(probe.clone()));
     notif.set_probe(Some(probe));

@@ -16,7 +16,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use antipode::{Antipode, BarrierError, Lineage, LineageId};
+use antipode::{Antipode, BarrierOutcome, DegradedBarrier, Lineage, LineageId};
 use antipode_sim::net::regions::{EU, US};
 use antipode_sim::{FaultKind, Network, Sim, SimTime};
 use antipode_store::shim::KvShim;
@@ -78,11 +78,10 @@ fn replication_stall() {
 
         // An Antipode reader first tries a bounded barrier…
         match ap
-            .barrier_with_timeout(&lineage, US, Duration::from_secs(10))
+            .barrier_budget(&lineage, US, Duration::from_secs(10))
             .await
         {
-            Ok(_) => println!("[antipode] barrier passed within 10s"),
-            Err(BarrierError::Timeout { unmet }) => {
+            Ok(BarrierOutcome::Degraded(DegradedBarrier { unmet, .. })) => {
                 println!(
                     "[antipode] t={} barrier timed out; {} dependency still unmet: {}",
                     sim3.now(),
@@ -91,6 +90,7 @@ fn replication_stall() {
                 );
                 println!("[antipode] falling back to an unbounded barrier (ride out the fault)…");
             }
+            Ok(_) => println!("[antipode] barrier passed within 10s"),
             Err(e) => panic!("unexpected error: {e}"),
         }
         let report = ap.barrier(&lineage, US).await.expect("registered");

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use antipode::{Antipode, UnknownStorePolicy};
+use antipode::{Antipode, BarrierOutcome, UnknownStorePolicy};
 use antipode_lineage::{Lineage, LineageId};
 use antipode_sim::dist::Dist;
 use antipode_sim::net::regions::{EU, US};
@@ -114,8 +114,8 @@ proptest! {
         prop_assert_eq!(report.visible.len() + report.unmet.len(), 1);
     }
 
-    /// barrier_with_timeout: short timeouts report the unmet dependency;
-    /// generous timeouts succeed. Either way the clock never exceeds
+    /// barrier_budget: short budgets report the unmet dependency;
+    /// generous budgets complete. Either way the clock never exceeds
     /// write-time + timeout before returning on failure.
     #[test]
     fn barrier_timeout_semantics(seed in any::<u64>(), timeout_ms in 1u64..30_000) {
@@ -131,12 +131,14 @@ proptest! {
         let res = sim.clone().block_on(async move {
             let mut l = Lineage::new(LineageId(1));
             shim2.write(EU, "k", Bytes::from_static(b"v"), &mut l).await.unwrap();
-            ap.barrier_with_timeout(&l, US, Duration::from_millis(timeout_ms)).await
+            ap.barrier_budget(&l, US, Duration::from_millis(timeout_ms)).await
         });
         match res {
-            Ok(report) => prop_assert!(report.blocked <= Duration::from_millis(timeout_ms)),
-            Err(antipode::BarrierError::Timeout { unmet }) => prop_assert_eq!(unmet.len(), 1),
-            Err(other) => prop_assert!(false, "unexpected error {other}"),
+            Ok(BarrierOutcome::Complete(report)) => {
+                prop_assert!(report.blocked <= Duration::from_millis(timeout_ms))
+            }
+            Ok(BarrierOutcome::Degraded(d)) => prop_assert_eq!(d.unmet.len(), 1),
+            other => prop_assert!(false, "unexpected outcome {other:?}"),
         }
     }
 }

@@ -181,11 +181,11 @@ proptest! {
             a.write(EU, "k", Bytes::from_static(b"v"), &mut l).await.unwrap();
             b.write(EU, "k", Bytes::from_static(b"v"), &mut l).await.unwrap();
             match ap
-                .barrier_with_timeout(&l, US, Duration::from_millis(timeout_ms))
+                .barrier_budget(&l, US, Duration::from_millis(timeout_ms))
                 .await
             {
-                Err(antipode::BarrierError::Timeout { unmet }) => unmet,
-                other => panic!("expected a timeout under a permanent stall, got {other:?}"),
+                Ok(antipode::BarrierOutcome::Degraded(d)) => d.unmet,
+                other => panic!("expected to degrade under a permanent stall, got {other:?}"),
             }
         });
         prop_assert_eq!(unmet.len(), 1, "only db-a is held back");

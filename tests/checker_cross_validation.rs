@@ -166,44 +166,7 @@ fn mix(state: &mut u64) -> u64 {
 /// A probe that appends every store visibility transition to the trace.
 fn probe_into(trace: Rc<RefCell<Vec<TraceEvent>>>) -> VisibilityProbe {
     Rc::new(move |e: &VisibilityEvent| {
-        let ev = match e {
-            VisibilityEvent::KvApplied {
-                store,
-                region,
-                key,
-                watermark,
-                at,
-            } => TraceEvent::KvApplied {
-                store: store.clone(),
-                region: *region,
-                key: key.clone(),
-                watermark: *watermark,
-                at: *at,
-            },
-            VisibilityEvent::QueueDelivered {
-                store,
-                region,
-                id,
-                at,
-            } => TraceEvent::QueueDelivered {
-                store: store.clone(),
-                region: *region,
-                id: *id,
-                at: *at,
-            },
-            VisibilityEvent::QueueAcked {
-                store,
-                region,
-                id,
-                at,
-            } => TraceEvent::QueueAcked {
-                store: store.clone(),
-                region: *region,
-                id: *id,
-                at: *at,
-            },
-        };
-        trace.borrow_mut().push(ev);
+        trace.borrow_mut().push(TraceEvent::Visibility(e.clone()));
     })
 }
 

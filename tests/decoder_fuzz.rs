@@ -1,9 +1,8 @@
 //! One never-panics harness for the decoders that accept bytes from outside
-//! the process (ROADMAP 4d): the baggage header text a peer sends, the flat
-//! baggage frame, and the lineage wire payload (v1 and v2). Whatever the
-//! input — noise, or a valid encoding with a byte flipped, a tail cut off or
-//! garbage spliced in — each decoder must return, and whatever it accepts
-//! must render again.
+//! the process (ROADMAP 4d): the baggage header text a peer sends and the
+//! lineage wire payload. Whatever the input — noise, or a valid encoding
+//! with a byte flipped, a tail cut off or garbage spliced in — each decoder
+//! must return, and whatever it accepts must render again.
 
 use antipode_lineage::{Baggage, Lineage, LineageId, WriteId, LINEAGE_KEY};
 use proptest::prelude::*;
@@ -13,7 +12,7 @@ type Decoder = (&'static str, fn(&[u8]));
 
 /// Every external-bytes decoder, driven to the point where its output is
 /// used: decode, then extract and re-encode what decoded.
-const DECODERS: [Decoder; 3] = [
+const DECODERS: [Decoder; 2] = [
     ("Baggage::from_header(..).lineage()", |bytes| {
         let baggage = Baggage::from_header(&String::from_utf8_lossy(bytes));
         if let Ok(lineage) = baggage.lineage() {
@@ -21,16 +20,9 @@ const DECODERS: [Decoder; 3] = [
         }
         let _ = baggage.to_header();
     }),
-    ("Baggage::from_frame", |bytes| {
-        if let Ok(baggage) = Baggage::from_frame(bytes) {
-            let _ = baggage.lineage();
-            let _ = baggage.to_frame();
-        }
-    }),
     ("Lineage::deserialize", |bytes| {
         if let Ok(lineage) = Lineage::deserialize(bytes) {
             let _ = lineage.serialize();
-            let _ = lineage.frame_bytes();
         }
     }),
 ];
@@ -70,14 +62,9 @@ fn arb_baggage() -> impl Strategy<Value = Baggage> {
 }
 
 /// The valid encodings of one baggage, one per decoder family.
-fn encodings(baggage: &Baggage) -> [Vec<u8>; 4] {
+fn encodings(baggage: &Baggage) -> [Vec<u8>; 2] {
     let lineage = baggage.lineage().expect("arb_baggage sets one");
-    [
-        baggage.to_header().into_bytes(),
-        baggage.to_frame(),
-        lineage.serialize(),
-        lineage.frame_bytes().to_vec(),
-    ]
+    [baggage.to_header().into_bytes(), lineage.serialize()]
 }
 
 proptest! {

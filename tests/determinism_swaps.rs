@@ -232,17 +232,17 @@ fn registry_names_are_registration_order_independent() {
     assert_eq!(a, vec!["alpha", "mid", "zeta"]);
 }
 
-/// The race-detector trace types round-trip through the probe plumbing the
-/// cross-validation harness uses: an event's instant survives conversion.
+/// A probe event wrapped into the race detector's trace, as the
+/// cross-validation harness does, still reports its own instant.
 #[test]
 fn trace_event_instants_are_preserved() {
     let at = SimTime::from_millis(1234);
-    let e = TraceEvent::KvApplied {
+    let e = TraceEvent::Visibility(VisibilityEvent::KvApplied {
         store: "db".into(),
         region: US,
         key: "k".into(),
         watermark: 9,
         at,
-    };
+    });
     assert_eq!(e.at(), at);
 }

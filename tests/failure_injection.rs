@@ -6,7 +6,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use antipode::{Antipode, BarrierError};
+use antipode::{Antipode, BarrierOutcome};
 use antipode_lineage::{Lineage, LineageId};
 use antipode_sim::dist::Dist;
 use antipode_sim::net::regions::{EU, US};
@@ -88,13 +88,13 @@ fn barrier_timeout_during_stall_reports_unmet_then_recovers() {
             .write(EU, "k", Bytes::from_static(b"v"), &mut l)
             .await
             .unwrap();
-        let err = ap2
-            .barrier_with_timeout(&l, US, Duration::from_secs(5))
+        match ap2
+            .barrier_budget(&l, US, Duration::from_secs(5))
             .await
-            .unwrap_err();
-        match err {
-            BarrierError::Timeout { unmet } => assert_eq!(unmet.len(), 1),
-            other => panic!("expected timeout, got {other}"),
+            .unwrap()
+        {
+            BarrierOutcome::Degraded(d) => assert_eq!(d.unmet.len(), 1),
+            other => panic!("expected to degrade, got {other:?}"),
         }
         l
     });
