@@ -124,7 +124,7 @@ pub fn run(cfg: &AclConfig) -> AclResult {
         let notif_shim2 = notif_shim.clone();
         let ap = ap.clone();
         let requests = cfg.requests;
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             let mut sub = notif_shim2.subscribe(US).expect("US configured");
             for _ in 0..requests {
                 let Ok(Some(msg)) = sub.recv().await else {
@@ -157,7 +157,7 @@ pub fn run(cfg: &AclConfig) -> AclResult {
         let gen = gen.clone();
         let transfer = cfg.transfer;
         let think = cfg.think_time;
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             sim2.sleep(Duration::from_millis(100 * i as u64)).await;
             // ℒblock: block Bob.
             let mut l_block = Lineage::new(gen.next_id());

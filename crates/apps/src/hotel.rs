@@ -94,7 +94,7 @@ pub fn run(cfg: &HotelConfig) -> HotelResult {
         let checker = checker.clone();
         let violations = violations.clone();
         let gen = gen.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             sim2.sleep(Duration::from_millis(30 * i as u64)).await;
             frontend.process().await;
             search.process().await;

@@ -247,7 +247,7 @@ pub fn run(cfg: &PostNotifConfig) -> PostNotifResult {
         // A new Reader function is spawned per replication event (§7.1), so
         // handlers run concurrently — one slow barrier never queues behind
         // another.
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             if cfg.antipode {
                 let mut sub = notif_shim
                     .subscribe(cfg.reader_region)
@@ -264,7 +264,7 @@ pub fn run(cfg: &PostNotifConfig) -> PostNotifResult {
                     let ap = ap.clone();
                     let gen = gen.clone();
                     let region = cfg.reader_region;
-                    sim2.spawn(async move {
+                    sim2.spawn_detached(async move {
                         let post_id =
                             String::from_utf8(msg.payload.to_vec()).expect("payload is a post id");
                         // barrier right after receiving the notification
@@ -309,7 +309,7 @@ pub fn run(cfg: &PostNotifConfig) -> PostNotifResult {
                     let write_times = write_times.clone();
                     let post_kv = post_kv.clone();
                     let region = cfg.reader_region;
-                    sim2.spawn(async move {
+                    sim2.spawn_detached(async move {
                         let post_id =
                             String::from_utf8(msg.payload.to_vec()).expect("payload is a post id");
                         let window = {
@@ -343,7 +343,7 @@ pub fn run(cfg: &PostNotifConfig) -> PostNotifResult {
         let notif_shim = dep.notif_shim.clone();
         let notif_queue = dep.notif_queue.clone();
         let gen_w = gen_w.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             // Stagger request arrivals so requests are independent.
             sim2.sleep(Duration::from_millis(200 * i as u64)).await;
             let post_id = format!("post-{i}");

@@ -219,7 +219,7 @@ pub fn run(cfg: &SocialConfig) -> SocialResult {
         let sim2 = sim.clone();
         let mut rng = sim.rng("congestion-driver");
         let horizon = cfg.duration + Duration::from_secs(60);
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             use rand::Rng;
             let end = sim2.now() + horizon;
             while sim2.now() < end {
@@ -258,7 +258,7 @@ pub fn run(cfg: &SocialConfig) -> SocialResult {
         let ap = ap.clone();
         let rabbit_shim2 = rabbit_shim.clone();
         let rabbit2 = rabbit.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             if cfg2.antipode {
                 let mut sub = rabbit_shim2
                     .subscribe(cfg2.remote)
@@ -277,7 +277,7 @@ pub fn run(cfg: &SocialConfig) -> SocialResult {
                     let ap = ap.clone();
                     let sim3 = sim2.clone();
                     let remote = cfg2.remote;
-                    sim2.spawn(async move {
+                    sim2.spawn_detached(async move {
                         svcs.write_home_timeline.process().await;
                         if let Some(lin) = &lineage {
                             {
@@ -287,10 +287,11 @@ pub fn run(cfg: &SocialConfig) -> SocialResult {
                             // barrier right after dequeuing the task (§7.1).
                             ap.barrier(lin, remote).await.expect("shims registered");
                         }
+                        // The entry's only read: remove it.
                         let window = write_times
-                            .borrow()
-                            .get(&post_id)
-                            .map(|t| sim3.now().since(*t));
+                            .borrow_mut()
+                            .remove(&post_id)
+                            .map(|t| sim3.now().since(t));
                         let mut found = mongo_shim
                             .read(remote, &format!("posts/{post_id}"))
                             .await
@@ -327,12 +328,13 @@ pub fn run(cfg: &SocialConfig) -> SocialResult {
                     let timeline = timeline.clone();
                     let sim3 = sim2.clone();
                     let remote = cfg2.remote;
-                    sim2.spawn(async move {
+                    sim2.spawn_detached(async move {
                         svcs.write_home_timeline.process().await;
+                        // The entry's only read: remove it.
                         let window = write_times
-                            .borrow()
-                            .get(&post_id)
-                            .map(|t| sim3.now().since(*t));
+                            .borrow_mut()
+                            .remove(&post_id)
+                            .map(|t| sim3.now().since(t));
                         let mut found = mongo
                             .find_one(remote, "posts", &post_id)
                             .await
@@ -392,7 +394,7 @@ pub fn run(cfg: &SocialConfig) -> SocialResult {
                 let rabbit3 = rabbit2.clone();
                 let rabbit_shim3 = rabbit_shim2.clone();
                 let gen3 = gen.clone();
-                sim2.spawn(async move {
+                sim2.spawn_detached(async move {
                     let start = sim3.now();
                     let post_id = format!("p{i}");
                     rt3.hop(US, US).await;

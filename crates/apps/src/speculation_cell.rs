@@ -191,7 +191,7 @@ pub fn run_speculation(cfg: &SpecCellConfig) -> SpecCellResult {
         let checker = checker.clone();
         let speculator = speculator.clone();
         let gen = Rc::new(LineageIdGen::new(1));
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             let mut sub = notif_shim.subscribe(US).expect("reader region configured");
             for _ in 0..cfg2.requests {
                 let Some(msg) = sub.recv().await.transpose() else {
@@ -206,7 +206,7 @@ pub fn run_speculation(cfg: &SpecCellConfig) -> SpecCellResult {
                 let checker = checker.clone();
                 let speculator = speculator.clone();
                 let gen = gen.clone();
-                sim2.spawn(async move {
+                sim2.spawn_detached(async move {
                     let recv_at = sim3.now();
                     let post_id =
                         String::from_utf8(msg.payload.to_vec()).expect("payload is a post id");
@@ -283,7 +283,7 @@ pub fn run_speculation(cfg: &SpecCellConfig) -> SpecCellResult {
         let post_shim = post_shim.clone();
         let notif_shim = notif_shim.clone();
         let gen_w = gen_w.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             sim2.sleep(cfg2.inter_arrival * i as u32).await;
             let post_id = format!("post-{i}");
             let mut lineage = Lineage::new(gen_w.next_id());

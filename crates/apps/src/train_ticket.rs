@@ -18,6 +18,8 @@
 //! (≈ 15 % throughput, ≈ 17 % latency at peak).
 
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -28,9 +30,9 @@ use antipode_sim::dist::Dist;
 use antipode_sim::net::regions::US;
 use antipode_sim::net::Network;
 use antipode_sim::sync::Semaphore;
-use antipode_sim::{RateCounter, Samples, Sim};
+use antipode_sim::{RateCounter, Samples, Sim, SimTime};
 use antipode_store::replica::KvProfile;
-use antipode_store::{MySql, MySqlShim, RabbitMq, RabbitMqShim};
+use antipode_store::{MySql, MySqlShim, QueueMessage, RabbitMq, RabbitMqShim, ShimMessage};
 use bytes::Bytes;
 
 /// Experiment configuration.
@@ -129,9 +131,6 @@ pub fn run(cfg: &TrainTicketConfig) -> TrainTicketResult {
     ap.register(Rc::new(payments_shim.clone()));
     ap.register(Rc::new(refund_shim.clone()));
 
-    // Gateway worker pool is held for the *whole* request (a thread per
-    // in-flight HTTP request) — this is what converts added latency into
-    // lost throughput at saturation (Fig 9).
     let gateway_pool = Semaphore::new(12);
     let gateway_think = Service::new(
         &sim,
@@ -176,191 +175,224 @@ pub fn run(cfg: &TrainTicketConfig) -> TrainTicketResult {
             ])),
     );
 
-    let violations = Rc::new(RefCell::new(RateCounter::new()));
-    let windows = Rc::new(RefCell::new(Samples::new()));
-    let refund_done: Rc<RefCell<std::collections::HashMap<String, antipode_sim::SimTime>>> =
-        Rc::new(RefCell::new(std::collections::HashMap::new()));
+    let flow = Rc::new(CancelFlow {
+        antipode: cfg.antipode,
+        sim: sim.clone(),
+        gateway_pool,
+        gateway_think,
+        cancel_svc,
+        order_svc,
+        station_svc,
+        notify_svc,
+        payment_svc,
+        orders,
+        orders_shim,
+        refund_queue,
+        refund_shim,
+        payments,
+        payments_shim,
+        ap,
+        gen: LineageIdGen::new(3),
+        violations: RefCell::new(RateCounter::new()),
+        windows: RefCell::new(Samples::new()),
+        refund_done: RefCell::new(HashMap::new()),
+    });
 
     // --- Payment service: the refund-task consumer. ---
     {
-        let sim2 = sim.clone();
-        let payment_svc = payment_svc.clone();
-        let payments2 = payments.clone();
-        let payments_shim2 = payments_shim.clone();
-        let refund_shim2 = refund_shim.clone();
-        let refund_queue2 = refund_queue.clone();
-        let refund_done2 = refund_done.clone();
-        let antipode = cfg.antipode;
-        sim.spawn(async move {
-            if antipode {
-                let mut sub = refund_shim2.consume(US).expect("US configured");
+        let flow = flow.clone();
+        sim.spawn_detached(async move {
+            if flow.antipode {
+                let mut sub = flow.refund_shim.consume(US).expect("US configured");
                 while let Ok(Some(msg)) = sub.recv().await {
-                    let order_id = String::from_utf8(msg.payload.to_vec()).expect("order id");
-                    let payment_svc = payment_svc.clone();
-                    let payments_shim = payments_shim2.clone();
-                    let refund_shim = refund_shim2.clone();
-                    let refund_done = refund_done2.clone();
-                    let sim3 = sim2.clone();
-                    sim2.spawn(async move {
-                        payment_svc.process().await;
-                        let mut lin = msg
-                            .lineage
-                            .clone()
-                            .unwrap_or_else(|| Lineage::new(antipode_lineage::LineageId(0)));
-                        payments_shim
-                            .insert(
-                                US,
-                                "refunds",
-                                &order_id,
-                                Bytes::from_static(b"refunded"),
-                                &mut lin,
-                            )
-                            .await
-                            .expect("US configured");
-                        refund_done.borrow_mut().insert(order_id, sim3.now());
-                        // Ack only after the refund write committed: this is
-                        // what the Processed wait semantics key off.
-                        refund_shim.ack(US, &msg).expect("US configured");
-                    });
+                    flow.sim.spawn_detached(flow.clone().refund(msg));
                 }
             } else {
-                let mut sub = refund_queue2.consume(US).expect("US configured");
+                let mut sub = flow.refund_queue.consume(US).expect("US configured");
                 while let Some(msg) = sub.recv().await {
-                    let order_id = String::from_utf8(msg.payload.to_vec()).expect("order id");
-                    let payment_svc = payment_svc.clone();
-                    let payments = payments2.clone();
-                    let refund_done = refund_done2.clone();
-                    let sim3 = sim2.clone();
-                    sim2.spawn(async move {
-                        payment_svc.process().await;
-                        payments
-                            .insert(US, "refunds", &order_id, Bytes::from_static(b"refunded"))
-                            .await
-                            .expect("US configured");
-                        refund_done.borrow_mut().insert(order_id, sim3.now());
-                    });
+                    flow.sim.spawn_detached(flow.clone().refund_baseline(msg));
                 }
             }
         });
     }
 
     // --- Client + gateway: the cancel request. ---
-    let gen = Rc::new(LineageIdGen::new(3));
     let client = {
-        let cfg2 = cfg.clone();
-        let sim2 = sim.clone();
-        let violations = violations.clone();
-        let windows = windows.clone();
+        let flow = flow.clone();
         run_open_loop(
             &sim.clone(),
             &rt,
             cfg.rate,
             cfg.duration,
             move |i, metrics| {
-                let cfg3 = cfg2.clone();
-                let sim3 = sim2.clone();
-                let gateway_pool = gateway_pool.clone();
-                let gateway_think = gateway_think.clone();
-                let cancel_svc = cancel_svc.clone();
-                let order_svc = order_svc.clone();
-                let station_svc = station_svc.clone();
-                let notify_svc = notify_svc.clone();
-                let orders = orders.clone();
-                let orders_shim = orders_shim.clone();
-                let refund_queue = refund_queue.clone();
-                let refund_shim = refund_shim.clone();
-                let payments = payments.clone();
-                let payments_shim = payments_shim.clone();
-                let violations = violations.clone();
-                let windows = windows.clone();
-                let refund_done = refund_done.clone();
-                let ap = ap.clone();
-                let gen = gen.clone();
-                sim2.spawn(async move {
-                    let start = sim3.now();
-                    let order_id = format!("order-{i}");
-                    // The gateway holds a worker slot for the entire request.
-                    let _slot = gateway_pool.acquire().await;
-                    gateway_think.process().await;
-                    cancel_svc.process().await;
-                    station_svc.process().await;
-                    order_svc.process().await;
-                    // Look up the order before mutating it, then notify the
-                    // user-facing channels — the surrounding steps of the real
-                    // cancel flow.
-                    let _ = orders.select(US, "orders", &order_id).await;
-                    notify_svc.process().await;
-                    let order_written_at;
-                    if cfg3.antipode {
-                        let mut lineage = Lineage::new(gen.next_id());
-                        orders_shim
-                            .insert(
-                                US,
-                                "orders",
-                                &order_id,
-                                Bytes::from_static(b"cancelled"),
-                                &mut lineage,
-                            )
-                            .await
-                            .expect("US configured");
-                        order_written_at = sim3.now();
-                        refund_shim
-                            .publish(US, Bytes::from(order_id.clone()), &mut lineage)
-                            .await
-                            .expect("US configured");
-                        // barrier before returning the cancellation output
-                        // (§7.1): on the critical path, by necessity.
-                        ap.barrier(&lineage, US).await.expect("shims registered");
-                    } else {
-                        orders
-                            .insert(US, "orders", &order_id, Bytes::from_static(b"cancelled"))
-                            .await
-                            .expect("US configured");
-                        order_written_at = sim3.now();
-                        refund_queue
-                            .publish(US, Bytes::from(order_id.clone()))
-                            .await
-                            .expect("US configured");
-                    }
-                    let responded_at = sim3.now();
-                    metrics.record_at(responded_at.since(start), responded_at);
-                    drop(_slot);
-
-                    // The customer's UI refreshes shortly after the confirmation
-                    // and fetches the refund record.
-                    sim3.sleep(Duration::from_millis(8)).await;
-                    let refund_visible = if cfg3.antipode {
-                        payments_shim
-                            .select(US, "refunds", &order_id)
-                            .await
-                            .expect("US configured")
-                            .is_some()
-                    } else {
-                        payments
-                            .select(US, "refunds", &order_id)
-                            .await
-                            .expect("US configured")
-                            .is_some()
-                    };
-                    violations.borrow_mut().record(!refund_visible);
-                    // Consistency window: order write → both effects visible.
-                    if let Some(done) = refund_done.borrow().get(&order_id) {
-                        windows
-                            .borrow_mut()
-                            .record_duration(done.max(&order_written_at).since(order_written_at));
-                    }
-                });
+                flow.sim.spawn_detached(flow.clone().cancel(i, metrics));
             },
         )
     };
     sim.run();
 
-    let out_violations = *violations.borrow();
-    let out_windows = windows.borrow().clone();
+    let out_violations = *flow.violations.borrow();
+    let out_windows = flow.windows.borrow().clone();
     TrainTicketResult {
         client,
         violations: out_violations,
         consistency_window: out_windows,
+    }
+}
+
+/// Everything the cancel and refund tasks touch. Every task shares it
+/// through one `Rc`: a per-request clone of each handle would put nineteen
+/// handles into every request future and push it past 1 KiB.
+struct CancelFlow {
+    antipode: bool,
+    sim: Sim,
+    /// Gateway worker pool, held for the *whole* request (a thread per
+    /// in-flight HTTP request) — this is what converts added latency into
+    /// lost throughput at saturation (Fig 9).
+    gateway_pool: Semaphore,
+    gateway_think: Service,
+    cancel_svc: Service,
+    order_svc: Service,
+    station_svc: Service,
+    notify_svc: Service,
+    payment_svc: Service,
+    orders: MySql,
+    orders_shim: MySqlShim,
+    refund_queue: RabbitMq,
+    refund_shim: RabbitMqShim,
+    payments: MySql,
+    payments_shim: MySqlShim,
+    ap: Antipode,
+    gen: LineageIdGen,
+    violations: RefCell<RateCounter>,
+    windows: RefCell<Samples>,
+    /// When each order's refund committed; removed by the request's window
+    /// computation, its only reader.
+    refund_done: RefCell<HashMap<String, SimTime>>,
+}
+
+impl CancelFlow {
+    /// Payment service, Antipode on: commit the refund, then ack. An `async`
+    /// block, not an `async fn`: the latter stores each argument twice, and
+    /// a second copy of the 160-byte message would push this future, boxed
+    /// once per request, out of the allocator's fast size classes.
+    #[allow(clippy::manual_async_fn)]
+    fn refund(self: Rc<Self>, msg: ShimMessage) -> impl Future<Output = ()> {
+        async move {
+            let order_id = String::from_utf8(msg.payload.to_vec()).expect("order id");
+            self.payment_svc.process().await;
+            let mut lin = msg
+                .lineage
+                .clone()
+                .unwrap_or_else(|| Lineage::new(antipode_lineage::LineageId(0)));
+            self.payments_shim
+                .insert(
+                    US,
+                    "refunds",
+                    &order_id,
+                    Bytes::from_static(b"refunded"),
+                    &mut lin,
+                )
+                .await
+                .expect("US configured");
+            self.refund_done
+                .borrow_mut()
+                .insert(order_id, self.sim.now());
+            // Ack only after the refund write committed: this is what the
+            // Processed wait semantics key off.
+            self.refund_shim.ack(US, &msg).expect("US configured");
+        }
+    }
+
+    /// Payment service, baseline.
+    async fn refund_baseline(self: Rc<Self>, msg: QueueMessage) {
+        let order_id = String::from_utf8(msg.payload.to_vec()).expect("order id");
+        self.payment_svc.process().await;
+        self.payments
+            .insert(US, "refunds", &order_id, Bytes::from_static(b"refunded"))
+            .await
+            .expect("US configured");
+        self.refund_done
+            .borrow_mut()
+            .insert(order_id, self.sim.now());
+    }
+
+    /// Client + gateway: one cancel request.
+    async fn cancel(self: Rc<Self>, i: u64, metrics: LoadMetrics) {
+        let start = self.sim.now();
+        let order_id = format!("order-{i}");
+        // The gateway holds a worker slot for the entire request.
+        let slot = self.gateway_pool.acquire().await;
+        self.gateway_think.process().await;
+        self.cancel_svc.process().await;
+        self.station_svc.process().await;
+        self.order_svc.process().await;
+        // Look up the order before mutating it, then notify the user-facing
+        // channels — the surrounding steps of the real cancel flow.
+        let _ = self.orders.select(US, "orders", &order_id).await;
+        self.notify_svc.process().await;
+        let order_written_at;
+        if self.antipode {
+            let mut lineage = Lineage::new(self.gen.next_id());
+            self.orders_shim
+                .insert(
+                    US,
+                    "orders",
+                    &order_id,
+                    Bytes::from_static(b"cancelled"),
+                    &mut lineage,
+                )
+                .await
+                .expect("US configured");
+            order_written_at = self.sim.now();
+            self.refund_shim
+                .publish(US, Bytes::from(order_id.clone()), &mut lineage)
+                .await
+                .expect("US configured");
+            // barrier before returning the cancellation output (§7.1): on
+            // the critical path, by necessity.
+            self.ap
+                .barrier(&lineage, US)
+                .await
+                .expect("shims registered");
+        } else {
+            self.orders
+                .insert(US, "orders", &order_id, Bytes::from_static(b"cancelled"))
+                .await
+                .expect("US configured");
+            order_written_at = self.sim.now();
+            self.refund_queue
+                .publish(US, Bytes::from(order_id.clone()))
+                .await
+                .expect("US configured");
+        }
+        let responded_at = self.sim.now();
+        metrics.record_at(responded_at.since(start), responded_at);
+        drop(slot);
+
+        // The customer's UI refreshes shortly after the confirmation and
+        // fetches the refund record.
+        self.sim.sleep(Duration::from_millis(8)).await;
+        let refund_visible = if self.antipode {
+            self.payments_shim
+                .select(US, "refunds", &order_id)
+                .await
+                .expect("US configured")
+                .is_some()
+        } else {
+            self.payments
+                .select(US, "refunds", &order_id)
+                .await
+                .expect("US configured")
+                .is_some()
+        };
+        self.violations.borrow_mut().record(!refund_visible);
+        // Consistency window: order write → both effects visible.
+        if let Some(done) = self.refund_done.borrow_mut().remove(&order_id) {
+            self.windows
+                .borrow_mut()
+                .record_duration(done.max(order_written_at).since(order_written_at));
+        }
     }
 }
 

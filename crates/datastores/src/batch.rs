@@ -29,7 +29,7 @@
 //! - An entry that re-samples keeps its enqueue seq and sits out the rest
 //!   of the round: it returns to the queue only once no due entry is left,
 //!   so even a zero backoff (`due == now`) defers it to the next round in
-//!   both modes (see [`PairQueue`]).
+//!   both modes (see `PairQueue`).
 //! - Applies never consume RNG and samples never read replica state, so the
 //!   relative order of "draw for entry B" vs "apply entry A" (the only thing
 //!   the two modes reorder within an instant) is unobservable.

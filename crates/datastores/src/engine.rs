@@ -388,16 +388,13 @@ impl<S: Substrate> Engine<S> {
             Admission::Reject => self.check_available(origin)?,
             Admission::Block => {
                 self.check_region(origin)?;
-                let eng = self.clone();
-                self.inner
+                let inner = &*self.inner;
+                inner
                     .faults
-                    .until_clear(&self.inner.sim, move |at| {
-                        eng.inner.substrate.op_blocked(
-                            &eng.inner.faults,
-                            at,
-                            &eng.inner.name,
-                            origin,
-                        )
+                    .until_clear(&inner.sim, |at| {
+                        inner
+                            .substrate
+                            .op_blocked(&inner.faults, at, &inner.name, origin)
                     })
                     .await;
             }

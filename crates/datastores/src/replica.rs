@@ -16,6 +16,7 @@
 //! knobs ([`KvStore::set_drop_probability`], [`KvStore::pause_replication`],
 //! …) are thin wrappers over the plan.
 
+use std::future::Future;
 use std::rc::Rc;
 
 use antipode_sim::dist::Dist;
@@ -118,8 +119,17 @@ impl KvStore {
     /// Writes `value` under `key` at the replica in `origin`. Commits locally
     /// (after the profile's commit latency), kicks off asynchronous
     /// replication to every other replica, and returns the assigned version.
-    pub async fn put(&self, origin: Region, key: &str, value: Bytes) -> Result<u64, StoreError> {
-        self.engine.commit(origin, Some(key), value).await
+    ///
+    /// Hands out the engine's commit future itself: an `async fn` forwarder
+    /// would store every argument twice around it, in each write future of
+    /// each request.
+    pub fn put<'a>(
+        &'a self,
+        origin: Region,
+        key: &'a str,
+        value: Bytes,
+    ) -> impl Future<Output = Result<u64, StoreError>> + 'a {
+        self.engine.commit(origin, Some(key), value)
     }
 
     /// Applies a version at a replica directly, bypassing replication.

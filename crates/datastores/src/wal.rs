@@ -148,7 +148,7 @@ impl WalLog {
 
     /// Stages one record for the log; returns its framed byte length (the
     /// on-log footprint the engine counters track). Serialization and
-    /// checksumming are deferred to [`WalLog::seal`] — see the type-level
+    /// checksumming are deferred to `WalLog::seal` — see the type-level
     /// note on deferred sealing — so this is O(1) on the commit path: a
     /// move into the staging buffer, no byte copies.
     pub fn append(&mut self, entry: WalEntry) -> usize {

@@ -11,35 +11,42 @@ use std::time::Duration;
 
 use antipode_sim::net::Network;
 use antipode_sim::rng::SimRng;
-use antipode_sim::{Region, Sim};
+use antipode_sim::{FaultPlan, Region, Sim};
 
 /// Deployment-wide runtime handle. Cheap to clone.
 #[derive(Clone)]
 pub struct Runtime {
+    inner: Rc<RuntimeInner>,
+}
+
+struct RuntimeInner {
     sim: Sim,
+    faults: FaultPlan,
     net: Rc<Network>,
-    rng: Rc<RefCell<SimRng>>,
+    rng: RefCell<SimRng>,
 }
 
 impl Runtime {
     /// Creates a runtime over the given network topology.
     pub fn new(sim: &Sim, net: Rc<Network>) -> Self {
-        let rng = Rc::new(RefCell::new(sim.rng("runtime")));
         Runtime {
-            sim: sim.clone(),
-            net,
-            rng,
+            inner: Rc::new(RuntimeInner {
+                sim: sim.clone(),
+                faults: sim.faults(),
+                net,
+                rng: RefCell::new(sim.rng("runtime")),
+            }),
         }
     }
 
     /// The simulation handle.
     pub fn sim(&self) -> &Sim {
-        &self.sim
+        &self.inner.sim
     }
 
     /// The network model.
     pub fn net(&self) -> &Rc<Network> {
-        &self.net
+        &self.inner.net
     }
 
     /// One-way message transit from `from` to `to` (an RPC request leg, a
@@ -49,17 +56,17 @@ impl Runtime {
     /// windows add extra sampled delay. With no active faults this costs
     /// exactly one latency sample, as before.
     pub async fn hop(&self, from: Region, to: Region) {
-        let faults = self.sim.faults();
-        let pred = faults.clone();
+        let RuntimeInner {
+            sim,
+            faults,
+            net,
+            rng,
+        } = &*self.inner;
         faults
-            .until_clear(&self.sim, move |at| pred.link_blocked(at, from, to))
+            .until_clear(sim, |at| faults.link_blocked(at, from, to))
             .await;
-        let d = {
-            let mut rng = self.rng.borrow_mut();
-            self.net
-                .delay_faulted(&mut *rng, from, to, &faults, self.sim.now())
-        };
-        self.sim.sleep(d).await;
+        let d = net.delay_faulted(&mut *rng.borrow_mut(), from, to, faults, sim.now());
+        sim.sleep(d).await;
     }
 
     /// A full request/response round trip between two regions.
@@ -72,7 +79,7 @@ impl Runtime {
     /// the given rate (events per second).
     pub fn poisson_gap(&self, rate: f64) -> Duration {
         use rand::Rng;
-        let u: f64 = 1.0 - self.rng.borrow_mut().random::<f64>();
+        let u: f64 = 1.0 - self.inner.rng.borrow_mut().random::<f64>();
         if rate <= 0.0 {
             return Duration::from_secs(3600);
         }

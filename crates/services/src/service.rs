@@ -12,7 +12,7 @@ use std::rc::Rc;
 use antipode_sim::dist::Dist;
 use antipode_sim::rng::SimRng;
 use antipode_sim::sync::Semaphore;
-use antipode_sim::{Region, Sim};
+use antipode_sim::{FaultPlan, Region, Sim};
 
 /// Configuration of one service instance.
 #[derive(Clone, Debug)]
@@ -67,6 +67,7 @@ impl ServiceSpec {
 struct ServiceInner {
     spec: ServiceSpec,
     sim: Sim,
+    faults: FaultPlan,
     sem: Semaphore,
     rng: RefCell<SimRng>,
 }
@@ -86,6 +87,7 @@ impl Service {
             inner: Rc::new(ServiceInner {
                 spec,
                 sim: sim.clone(),
+                faults: sim.faults(),
                 sem,
                 rng,
             }),
@@ -107,11 +109,11 @@ impl Service {
     /// immediately — without yielding — when the service is up, so fault-free
     /// runs are timing-identical to a build without the chaos plane.
     async fn await_alive(&self) {
-        let faults = self.inner.sim.faults();
-        let pred = faults.clone();
-        let name = self.inner.spec.name.clone();
+        let ServiceInner {
+            spec, sim, faults, ..
+        } = &*self.inner;
         faults
-            .until_clear(&self.inner.sim, move |at| pred.service_down(at, &name))
+            .until_clear(sim, |at| faults.service_down(at, &spec.name))
             .await;
     }
 

@@ -13,11 +13,10 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::fault::FaultPlan;
 use crate::rng::{derived_rng, SimRng};
@@ -41,9 +40,9 @@ fn unpack_task(id: TaskId) -> (u32, u32) {
     (id as u32, (id >> 32) as u32)
 }
 
-/// One entry of the task slab. The waker is created once at spawn and
-/// cloned per poll (an `Arc` bump) instead of re-allocated — task polling
-/// is the engine's hottest executor path.
+/// One entry of the task slab. The waker is created once at spawn;
+/// `poll_task` moves it out for the poll and back afterwards, so polling —
+/// the engine's hottest executor path — touches no reference count.
 struct TaskSlot {
     generation: u32,
     waker: Option<Waker>,
@@ -69,34 +68,120 @@ enum SlotState {
     Occupied(BoxFuture),
 }
 
-/// Queue of runnable task ids, shared with wakers (which must be `Send`;
-/// the simulator is single-threaded, so the mutex is never contended).
-/// Each entry carries the raw wake source (the slot of the task whose poll
-/// triggered the wake, or a [`WAKE_TIMER`]/[`WAKE_EXTERNAL`] sentinel) for
-/// the deadlock stall report.
+/// One simulation's queue of runnable task ids in the thread-local
+/// registry. Each entry carries the raw wake source (the slot of the task
+/// whose poll triggered the wake, or a [`WAKE_TIMER`]/[`WAKE_EXTERNAL`]
+/// sentinel) for the deadlock stall report.
+struct ReadySlot {
+    /// Which simulation holds the slot; 0 while it is free.
+    uid: u64,
+    queue: VecDeque<(TaskId, u32)>,
+}
+
+thread_local! {
+    /// The ready queues of the simulations living on this thread. Wakers
+    /// must be `Send + Sync`, so they cannot hold an `Rc` to their queue;
+    /// they hold a [`ReadyQueue`] key into this registry instead, which
+    /// costs a wake no atomic and no lock.
+    static READY: RefCell<Vec<ReadySlot>> = const { RefCell::new(Vec::new()) };
+    /// Live `Inner`s on this thread ([`live_sims`]).
+    static LIVE_SIMS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Source of [`ReadyQueue::uid`]: unique per process, so a key woken on a
+/// thread other than its simulation's matches no slot there.
+static NEXT_SIM_UID: AtomicU64 = AtomicU64::new(1);
+
+/// Number of simulations alive on this thread: created by [`Sim::new`] and
+/// not yet freed. A simulation is freed once its owner and every clone are
+/// gone; because dropping the owner tears the task set down (see [`Sim`]),
+/// this reads 0 after any function that creates and finishes a simulation.
+/// Diagnostic: the leak tests are built on it.
+pub fn live_sims() -> usize {
+    LIVE_SIMS.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Key of one simulation's ready queue: registry index plus the holder's
+/// uid. A key whose uid no longer matches the slot (its simulation was torn
+/// down and the slot reused or freed) is inert: pushes are discarded, so a
+/// waker kept past its `Sim`'s death can never enqueue into a later one.
 ///
 /// This queue is the *only* source of runnable tasks, and [`Sim::step`] /
 /// `Sim::step_controlled` below are the only consumers: every pop flows
 /// through the `Schedule` choice-point API so a model checker sees (and can
 /// reorder) every scheduling decision.
-#[derive(Default)]
+#[derive(Clone, Copy)]
 struct ReadyQueue {
-    queue: Mutex<VecDeque<(TaskId, u32)>>,
+    index: u32,
+    uid: u64,
 }
 
 impl ReadyQueue {
-    fn push(&self, id: TaskId) {
-        let src = schedule::current_slot();
-        self.queue.lock().push_back((id, src));
+    /// Claims a free registry slot (reusing its buffer) or adds one.
+    fn claim() -> ReadyQueue {
+        let uid = NEXT_SIM_UID.fetch_add(1, Ordering::Relaxed);
+        READY.with(|r| {
+            let mut slots = r.borrow_mut();
+            let index = match slots.iter().position(|s| s.uid == 0) {
+                Some(i) => i,
+                None => {
+                    slots.push(ReadySlot {
+                        uid: 0,
+                        queue: VecDeque::new(),
+                    });
+                    slots.len() - 1
+                }
+            };
+            slots[index].uid = uid;
+            ReadyQueue {
+                index: index as u32,
+                uid,
+            }
+        })
     }
-    fn pop(&self) -> Option<(TaskId, u32)> {
-        self.queue.lock().pop_front()
+
+    /// Runs `f` on the key's registry slot; `None` if the key is stale (or
+    /// the thread's registry is already destroyed).
+    fn slot<R>(self, f: impl FnOnce(&mut ReadySlot) -> R) -> Option<R> {
+        READY
+            .try_with(|r| {
+                let mut slots = r.borrow_mut();
+                let slot = slots.get_mut(self.index as usize)?;
+                (slot.uid == self.uid).then(|| f(slot))
+            })
+            .ok()
+            .flatten()
+    }
+
+    fn with<R>(self, f: impl FnOnce(&mut VecDeque<(TaskId, u32)>) -> R) -> Option<R> {
+        self.slot(|s| f(&mut s.queue))
+    }
+
+    fn push(self, id: TaskId) {
+        let src = schedule::current_slot();
+        self.with(|q| q.push_back((id, src)));
+    }
+
+    fn pop(self) -> Option<(TaskId, u32)> {
+        self.with(VecDeque::pop_front).flatten()
+    }
+
+    fn is_empty(self) -> bool {
+        self.with(|q| q.is_empty()).unwrap_or(true)
+    }
+
+    /// Frees the slot, discarding what is queued. Idempotent.
+    fn release(self) {
+        self.slot(|s| {
+            s.uid = 0;
+            s.queue.clear();
+        });
     }
 }
 
 struct TaskWaker {
     id: TaskId,
-    ready: Arc<ReadyQueue>,
+    ready: ReadyQueue,
 }
 
 impl Wake for TaskWaker {
@@ -108,12 +193,22 @@ impl Wake for TaskWaker {
     }
 }
 
-/// A pending timer: wake `waker` once the clock reaches `at`. Entries with a
-/// set `cancelled` flag are skipped without advancing the clock.
+/// Whom a fired timer makes runnable.
+enum TimerTarget {
+    /// The task that polled the [`Sleep`] with its own waker: firing
+    /// enqueues the id, with no waker to clone, store and drop.
+    Task(TaskId),
+    /// A waker that is not the polling task's (a combinator with its own
+    /// wake path).
+    Waker(Waker),
+}
+
+/// A pending timer: wake `target` once the clock reaches `at`. Entries with
+/// a set `cancelled` flag are skipped without advancing the clock.
 struct TimerEntry {
     at: SimTime,
     seq: u64,
-    waker: Waker,
+    target: TimerTarget,
     cancelled: Rc<Cell<bool>>,
 }
 
@@ -140,7 +235,11 @@ struct Inner {
     tasks: RefCell<Vec<TaskSlot>>,
     free: RefCell<Vec<u32>>,
     live: Cell<usize>,
-    ready: Arc<ReadyQueue>,
+    ready: ReadyQueue,
+    /// The task `poll_task` is polling, with its waker's data pointer (kept
+    /// for comparison only, never dereferenced): how a [`Sleep`] recognises
+    /// that it was handed the task's own waker.
+    polling: Cell<Option<(TaskId, *const ())>>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     /// Recycled timer cancellation flags (a flag re-enters the pool only
     /// once no heap entry or `Sleep` holds it) — sleeping is the hottest
@@ -160,13 +259,163 @@ struct Inner {
     /// Choice points seen so far (controlled steps with ≥ 2 runnable
     /// tasks). Diagnostic.
     choice_points: Cell<u64>,
+    /// Depth of `run`/`run_until`/`block_on`/`step` calls on the stack.
+    driving: Cell<u32>,
+    /// The owner was dropped while `driving > 0`: tear down when the
+    /// outermost driving call returns.
+    teardown_pending: Cell<bool>,
+    /// Torn down: nothing can be spawned, scheduled or woken any more.
+    dead: Cell<bool>,
+}
+
+impl Inner {
+    fn next_seq(&self) -> u64 {
+        let s = self.next_seq.get();
+        self.next_seq.set(s + 1);
+        s
+    }
+
+    /// Registers a timer for `target` at `at`; returns the cancellation
+    /// flag.
+    fn register_timer(&self, at: SimTime, target: TimerTarget) -> Rc<Cell<bool>> {
+        let cancelled = match self.flag_pool.borrow_mut().pop() {
+            Some(flag) => {
+                flag.set(false);
+                flag
+            }
+            None => Rc::new(Cell::new(false)),
+        };
+        if !self.dead.get() {
+            self.timers.borrow_mut().push(Reverse(TimerEntry {
+                at,
+                seq: self.next_seq(),
+                target,
+                cancelled: cancelled.clone(),
+            }));
+        }
+        cancelled
+    }
+
+    /// Returns a timer flag to the pool once it has no other holder (no
+    /// heap entry, no other `Sleep`).
+    fn recycle_timer_flag(&self, flag: Rc<Cell<bool>>) {
+        if Rc::strong_count(&flag) == 1 {
+            self.flag_pool.borrow_mut().push(flag);
+        }
+    }
+
+    /// Makes whatever a fired timer targets runnable, attributed to
+    /// [`WAKE_TIMER`].
+    fn fire(&self, target: TimerTarget) {
+        let prev = schedule::set_current_slot(WAKE_TIMER);
+        match target {
+            TimerTarget::Task(id) => self.ready.push(id),
+            TimerTarget::Waker(waker) => waker.wake(),
+        }
+        schedule::set_current_slot(prev);
+    }
+
+    /// Marks a driving call (`run`, `run_until`, `block_on`, `step`) as on
+    /// the stack until the guard drops.
+    fn drive(&self) -> Driving<'_> {
+        self.driving.set(self.driving.get() + 1);
+        Driving(self)
+    }
+
+    /// The owner handle was dropped.
+    fn owner_dropped(&self) {
+        if self.driving.get() > 0 {
+            self.teardown_pending.set(true);
+        } else {
+            self.teardown();
+        }
+    }
+
+    /// Drops everything the simulation holds: task futures, pending timers,
+    /// staged and ready entries, the installed schedule. `dead` and the
+    /// released ready queue come first, so a destructor that spawns, sleeps
+    /// or wakes while the rest goes (semaphore permits, oneshot senders,
+    /// `Sleep`) finds nothing to add to and one pass is the fixpoint. Each
+    /// container is moved out of its `RefCell` before it is dropped: user
+    /// destructors run with no borrow held.
+    fn teardown(&self) {
+        self.dead.set(true);
+        self.controlled.set(false);
+        self.ready.release();
+        let tasks = std::mem::take(&mut *self.tasks.borrow_mut());
+        drop(tasks);
+        self.free.borrow_mut().clear();
+        self.live.set(0);
+        let timers = std::mem::take(&mut *self.timers.borrow_mut());
+        drop(timers);
+        self.staged.borrow_mut().clear();
+        let sched = self.sched.borrow_mut().take();
+        drop(sched);
+        self.flag_pool.borrow_mut().clear();
+    }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        // Already released by `teardown`, unless that was skipped (owner
+        // dropped during a panic).
+        self.ready.release();
+        LIVE_SIMS.try_with(|n| n.set(n.get() - 1)).ok();
+    }
+}
+
+/// Guard of one driving call; runs a deferred teardown when the outermost
+/// one returns.
+struct Driving<'a>(&'a Inner);
+
+impl Drop for Driving<'_> {
+    fn drop(&mut self) {
+        let depth = self.0.driving.get() - 1;
+        self.0.driving.set(depth);
+        // Unwinding (a `block_on` deadlock panic): leak instead of running
+        // user destructors mid-panic.
+        if depth == 0 && self.0.teardown_pending.get() && !std::thread::panicking() {
+            self.0.teardown_pending.set(false);
+            self.0.teardown();
+        }
+    }
 }
 
 /// Handle to the simulation. Cheap to clone; every service, datastore and
 /// client in a run shares one.
-#[derive(Clone)]
+///
+/// The handle [`Sim::new`] returns **owns** the simulation; clones do not.
+/// Dropping the owner tears the simulation down: every task future still
+/// parked (background loops, dispatchers, workers), pending timer and
+/// runnable entry is dropped, which releases the `Sim`, store and service
+/// handles those futures captured — without this, tasks and the handles
+/// they capture keep each other alive and nothing a simulation allocated is
+/// ever freed. A parked task may therefore be dropped at any `.await`. If
+/// the owner is dropped from inside one of its own tasks, or while
+/// `run`/`run_until`/`block_on`/`step` is on the stack, teardown waits for
+/// the outermost such call to return. Clones that outlive the owner stay
+/// valid but inert: the clock still reads, spawned futures are dropped at
+/// once, `run` returns immediately and kept wakers do nothing.
 pub struct Sim {
     inner: Rc<Inner>,
+    owner: bool,
+}
+
+impl Clone for Sim {
+    fn clone(&self) -> Self {
+        Sim {
+            inner: self.inner.clone(),
+            owner: false,
+        }
+    }
+}
+
+impl Drop for Sim {
+    fn drop(&mut self) {
+        if self.owner {
+            self.inner.owner_dropped();
+        }
+    }
 }
 
 impl Default for Sim {
@@ -184,14 +433,17 @@ impl Sim {
         // the model checker relies on this when it diffs footprints across
         // executions sharing a choice prefix.
         schedule::reset_thread_state();
+        LIVE_SIMS.with(|n| n.set(n.get() + 1));
         Sim {
+            owner: true,
             inner: Rc::new(Inner {
                 now: Cell::new(SimTime::ZERO),
                 next_seq: Cell::new(0),
                 tasks: RefCell::new(Vec::new()),
                 free: RefCell::new(Vec::new()),
                 live: Cell::new(0),
-                ready: Arc::new(ReadyQueue::default()),
+                ready: ReadyQueue::claim(),
+                polling: Cell::new(None),
                 timers: RefCell::new(BinaryHeap::new()),
                 flag_pool: RefCell::new(Vec::new()),
                 seed,
@@ -200,6 +452,9 @@ impl Sim {
                 controlled: Cell::new(false),
                 staged: RefCell::new(VecDeque::new()),
                 choice_points: Cell::new(0),
+                driving: Cell::new(0),
+                teardown_pending: Cell::new(false),
+                dead: Cell::new(false),
             }),
         }
     }
@@ -252,23 +507,11 @@ impl Sim {
         derived_rng(self.inner.seed, label)
     }
 
-    fn next_seq(&self) -> u64 {
-        let s = self.inner.next_seq.get();
-        self.inner.next_seq.set(s + 1);
-        s
-    }
-
     /// Spawns a task. The returned [`JoinHandle`] resolves with the task's
-    /// output; dropping it detaches the task.
+    /// output; dropping it detaches the task (use [`Sim::spawn_detached`]
+    /// when nobody will join).
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
-        let (tx, rx) = oneshot();
-        let wrapped: BoxFuture = Box::pin(async move {
-            let out = fut.await;
-            // The receiver may have been dropped (detached task): ignore.
-            let _ = tx.send(out);
-        });
-        self.insert_task(wrapped, None);
-        JoinHandle { rx }
+        self.spawn_joined(fut, None)
     }
 
     /// [`Sim::spawn`] with a debug name. The name shows up in schedule
@@ -279,12 +522,26 @@ impl Sim {
         name: &str,
         fut: impl Future<Output = T> + 'static,
     ) -> JoinHandle<T> {
+        self.spawn_joined(fut, Some(Rc::from(name)))
+    }
+
+    fn spawn_joined<T: 'static>(
+        &self,
+        fut: impl Future<Output = T> + 'static,
+        name: Option<Rc<str>>,
+    ) -> JoinHandle<T> {
         let (tx, rx) = oneshot();
-        let wrapped: BoxFuture = Box::pin(async move {
-            let out = fut.await;
-            let _ = tx.send(out);
-        });
-        self.insert_task(wrapped, Some(Rc::from(name)));
+        // Boxed before it is wrapped: an `async` block that awaits a
+        // captured future stores it twice (as upvar and as awaitee), so
+        // wrapping `fut` itself would box two copies of its state.
+        let fut = Box::pin(fut);
+        self.insert_task(
+            Box::pin(async move {
+                // The receiver may have been dropped (detached task): ignore.
+                let _ = tx.send(fut.await);
+            }),
+            name,
+        );
         JoinHandle { rx }
     }
 
@@ -297,6 +554,9 @@ impl Sim {
     }
 
     fn insert_task(&self, fut: BoxFuture, name: Option<Rc<str>>) {
+        if self.inner.dead.get() {
+            return; // torn down: the future is dropped unpolled
+        }
         let mut tasks = self.inner.tasks.borrow_mut();
         let slot = match self.inner.free.borrow_mut().pop() {
             Some(slot) => slot,
@@ -317,7 +577,7 @@ impl Sim {
         let id = pack_task(slot, entry.generation);
         entry.waker = Some(Waker::from(Arc::new(TaskWaker {
             id,
-            ready: self.inner.ready.clone(),
+            ready: self.inner.ready,
         })));
         entry.state = SlotState::Occupied(fut);
         entry.name = name;
@@ -328,33 +588,6 @@ impl Sim {
         self.inner.ready.push(id);
     }
 
-    /// Registers a timer waking `waker` at `at`; returns the cancellation
-    /// flag.
-    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) -> Rc<Cell<bool>> {
-        let cancelled = match self.inner.flag_pool.borrow_mut().pop() {
-            Some(flag) => {
-                flag.set(false);
-                flag
-            }
-            None => Rc::new(Cell::new(false)),
-        };
-        self.inner.timers.borrow_mut().push(Reverse(TimerEntry {
-            at,
-            seq: self.next_seq(),
-            waker,
-            cancelled: cancelled.clone(),
-        }));
-        cancelled
-    }
-
-    /// Returns a timer flag to the pool once it has no other holder (no
-    /// heap entry, no other `Sleep`).
-    pub(crate) fn recycle_timer_flag(&self, flag: Rc<Cell<bool>>) {
-        if Rc::strong_count(&flag) == 1 {
-            self.inner.flag_pool.borrow_mut().push(flag);
-        }
-    }
-
     /// A future resolving after `d` of virtual time.
     pub fn sleep(&self, d: Duration) -> Sleep {
         self.sleep_until(self.now() + d)
@@ -363,7 +596,7 @@ impl Sim {
     /// A future resolving once the clock reaches `deadline`.
     pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
         Sleep {
-            sim: self.clone(),
+            inner: self.inner.clone(),
             deadline,
             registration: None,
         }
@@ -391,7 +624,7 @@ impl Sim {
             }
             match std::mem::replace(&mut entry.state, SlotState::Polling) {
                 SlotState::Occupied(fut) => {
-                    let waker = entry.waker.clone().expect("occupied slots have a waker");
+                    let waker = entry.waker.take().expect("occupied slots have a waker");
                     entry.last_wake = src;
                     entry.polled = true;
                     (fut, waker)
@@ -407,15 +640,16 @@ impl Sim {
         // Attribute wakes performed by this poll to the task, and clear any
         // stale blocked-on note before the poll sets a fresh one.
         let prev_slot = schedule::set_current_slot(slot);
+        let prev_polling = self.inner.polling.replace(Some((id, waker.data())));
         schedule::take_block_note();
         let poll = fut.as_mut().poll(&mut cx);
+        self.inner.polling.set(prev_polling);
         schedule::set_current_slot(prev_slot);
         match poll {
             Poll::Ready(()) => {
                 let mut tasks = self.inner.tasks.borrow_mut();
                 let entry = &mut tasks[slot as usize];
                 entry.state = SlotState::Vacant;
-                entry.waker = None;
                 entry.name = None;
                 entry.blocked_on = None;
                 entry.generation = entry.generation.wrapping_add(1);
@@ -427,6 +661,7 @@ impl Sim {
                 let mut tasks = self.inner.tasks.borrow_mut();
                 let entry = &mut tasks[slot as usize];
                 entry.state = SlotState::Occupied(fut);
+                entry.waker = Some(waker);
                 entry.blocked_on = schedule::take_block_note();
                 false
             }
@@ -442,6 +677,11 @@ impl Sim {
     /// the byte-identical schedule every golden-trace test pins. With a
     /// [`Schedule`] installed the decision is delegated to the strategy.
     pub fn step(&self) -> bool {
+        let _driving = self.inner.drive();
+        self.step_inner()
+    }
+
+    fn step_inner(&self) -> bool {
         if self.inner.controlled.get() {
             return self.step_controlled();
         }
@@ -455,14 +695,12 @@ impl Sim {
                 None => return false,
             };
             if entry.cancelled.get() {
-                self.recycle_timer_flag(entry.cancelled);
+                self.inner.recycle_timer_flag(entry.cancelled);
                 continue;
             }
             debug_assert!(entry.at >= self.now(), "clock must be monotonic");
             self.inner.now.set(entry.at);
-            let prev = schedule::set_current_slot(WAKE_TIMER);
-            entry.waker.wake();
-            schedule::set_current_slot(prev);
+            self.inner.fire(entry.target);
             return true;
         }
     }
@@ -536,15 +774,14 @@ impl Sim {
 
     /// Moves every entry of the shared ready queue into the controlled-mode
     /// staging list, optionally collecting the drained task ids.
-    fn drain_ready(&self, mut woke: Option<&mut Vec<TaskId>>) {
-        let mut q = self.inner.ready.queue.lock();
+    fn drain_ready(&self, woke: Option<&mut Vec<TaskId>>) {
         let mut staged = self.inner.staged.borrow_mut();
-        while let Some((id, src)) = q.pop_front() {
-            if let Some(w) = woke.as_deref_mut() {
-                w.push(id);
+        self.inner.ready.with(|q| {
+            if let Some(w) = woke {
+                w.extend(q.iter().map(|&(id, _)| id));
             }
-            staged.push_back((id, src));
-        }
+            staged.extend(q.drain(..));
+        });
     }
 
     /// Prunes stale entries and duplicate wakes from the staging list,
@@ -591,7 +828,7 @@ impl Sim {
                 }
             };
             if entry.cancelled.get() {
-                self.recycle_timer_flag(entry.cancelled);
+                self.inner.recycle_timer_flag(entry.cancelled);
                 continue;
             }
             if fire_at.is_none() {
@@ -599,24 +836,24 @@ impl Sim {
                 self.inner.now.set(entry.at);
                 fire_at = Some(entry.at);
             }
-            let prev = schedule::set_current_slot(WAKE_TIMER);
-            entry.waker.wake();
-            schedule::set_current_slot(prev);
+            self.inner.fire(entry.target);
         }
         fire_at.is_some()
     }
 
     /// Runs until no tasks are runnable and no timers are pending.
     pub fn run(&self) {
-        while self.step() {}
+        let _driving = self.inner.drive();
+        while self.step_inner() {}
     }
 
     /// Runs until the clock reaches `deadline` (events at exactly `deadline`
     /// are processed) or the simulation goes quiescent earlier. The clock is
     /// left at `deadline` if it was reached.
     pub fn run_until(&self, deadline: SimTime) {
+        let _driving = self.inner.drive();
         loop {
-            let no_runnable = self.inner.ready.queue.lock().is_empty()
+            let no_runnable = self.inner.ready.is_empty()
                 && (!self.inner.controlled.get() || self.normalize_staged().is_empty());
             if no_runnable {
                 let next_at = self.inner.timers.borrow().peek().map(|Reverse(e)| e.at);
@@ -634,7 +871,7 @@ impl Sim {
                     _ => {}
                 }
             }
-            if !self.step() {
+            if !self.step_inner() {
                 if self.now() < deadline {
                     self.inner.now.set(deadline);
                 }
@@ -655,6 +892,7 @@ impl Sim {
     /// (i.e., the future deadlocked waiting for an event that can never
     /// arrive).
     pub fn block_on<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> T {
+        let _driving = self.inner.drive();
         let handle = self.spawn(fut);
         let result: Rc<RefCell<Option<Result<T, RecvError>>>> = Rc::new(RefCell::new(None));
         let slot = result.clone();
@@ -662,7 +900,7 @@ impl Sim {
             *slot.borrow_mut() = Some(handle.await_result().await);
         });
         while result.borrow().is_none() {
-            if !self.step() {
+            if !self.step_inner() {
                 panic!(
                     "simulation went quiescent before block_on future completed (deadlock)\n{}",
                     self.stall_report()
@@ -701,6 +939,9 @@ impl Sim {
     /// to the [`Sim::block_on`] panic message when the simulation stalls.
     pub fn stall_report(&self) -> String {
         use std::fmt::Write as _;
+        if self.inner.dead.get() {
+            return "the simulation was torn down (its owner handle was dropped)".to_owned();
+        }
         let stuck = self.stuck_tasks();
         if stuck.is_empty() {
             return "no live tasks remain".to_owned();
@@ -751,7 +992,7 @@ impl std::fmt::Display for StuckTask {
 
 /// Future returned by [`Sim::sleep`].
 pub struct Sleep {
-    sim: Sim,
+    inner: Rc<Inner>,
     deadline: SimTime,
     registration: Option<Rc<Cell<bool>>>,
 }
@@ -761,25 +1002,30 @@ impl Sleep {
     pub fn deadline(&self) -> SimTime {
         self.deadline
     }
+
+    /// Cancels the heap entry of the last `Pending` poll, if any.
+    fn cancel(&mut self) {
+        if let Some(r) = self.registration.take() {
+            r.set(true);
+            self.inner.recycle_timer_flag(r);
+        }
+    }
 }
 
 impl Future for Sleep {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.sim.now() >= self.deadline {
-            if let Some(r) = self.registration.take() {
-                r.set(true);
-                self.sim.recycle_timer_flag(r);
-            }
+        // Cancel any previous registration (its waker may be stale); a
+        // pending sleep registers afresh with the current waker.
+        self.cancel();
+        if self.inner.now.get() >= self.deadline {
             return Poll::Ready(());
         }
-        // Cancel any previous registration (its waker may be stale) and
-        // register afresh with the current waker.
-        if let Some(r) = self.registration.take() {
-            r.set(true);
-            self.sim.recycle_timer_flag(r);
-        }
-        let reg = self.sim.register_timer(self.deadline, cx.waker().clone());
+        let target = match self.inner.polling.get() {
+            Some((id, data)) if std::ptr::eq(cx.waker().data(), data) => TimerTarget::Task(id),
+            _ => TimerTarget::Waker(cx.waker().clone()),
+        };
+        let reg = self.inner.register_timer(self.deadline, target);
         self.registration = Some(reg);
         schedule::note_blocked(BlockedOn::Timer(self.deadline));
         Poll::Pending
@@ -788,10 +1034,7 @@ impl Future for Sleep {
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        if let Some(r) = self.registration.take() {
-            r.set(true);
-            self.sim.recycle_timer_flag(r);
-        }
+        self.cancel();
     }
 }
 

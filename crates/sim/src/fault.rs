@@ -603,11 +603,13 @@ impl FaultPlan {
     /// Returns immediately (without yielding) when already clear.
     pub async fn until_clear(&self, sim: &Sim, blocked: impl Fn(SimTime) -> bool) {
         loop {
-            let notified = self.inner.changed.notified();
             let now = sim.now();
             if !blocked(now) {
                 return;
             }
+            // No `.await` separates the check from this registration, so no
+            // change can slip between them.
+            let notified = self.inner.changed.notified();
             match self.next_transition_after(now) {
                 Some(t) => {
                     // Wake at the next schedule edge or on an imperative

@@ -50,7 +50,9 @@ pub mod sync;
 pub mod time;
 
 pub use dist::Dist;
-pub use executor::{join_all, timeout, Elapsed, Interval, JoinHandle, Sim, Sleep, StuckTask};
+pub use executor::{
+    join_all, live_sims, timeout, Elapsed, Interval, JoinHandle, Sim, Sleep, StuckTask,
+};
 pub use fault::{DiskFaultKind, FaultKind, FaultPlan, FaultWindow};
 pub use metrics::{Histogram, RateCounter, Samples, Summary};
 pub use net::{Network, Region};
