@@ -16,7 +16,7 @@
 //! standard deviation and points at MongoDB's replication under network
 //! latency); [`SocialConfig::congestion`] enables that model.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
@@ -206,8 +206,6 @@ pub fn run(cfg: &SocialConfig) -> SocialResult {
     let media_shim = KvShim::new(media_store.store().clone());
     let rabbit_shim = QueueShim::new(rabbit.queue().clone());
 
-    let svcs = Rc::new(start_services(&sim, cfg.remote));
-
     let mut ap = Antipode::new(sim.clone());
     ap.register(Rc::new(mongo_shim.clone()));
     ap.register(Rc::new(media_shim.clone()));
@@ -236,267 +234,249 @@ pub fn run(cfg: &SocialConfig) -> SocialResult {
         });
     }
 
-    let violations = Rc::new(RefCell::new(RateCounter::new()));
-    let windows = Rc::new(RefCell::new(Samples::new()));
-    let max_lineage = Rc::new(RefCell::new(0usize));
-    let write_times: Rc<RefCell<HashMap<String, SimTime>>> = Rc::new(RefCell::new(HashMap::new()));
+    let flow = Rc::new(ComposeFlow {
+        antipode: cfg.antipode,
+        remote: cfg.remote,
+        sim: sim.clone(),
+        svcs: start_services(&sim, cfg.remote),
+        rt: rt.clone(),
+        posts: Collection {
+            name: "posts",
+            store: mongo,
+            shim: mongo_shim,
+        },
+        media: Collection {
+            name: "media",
+            store: media_store,
+            shim: media_shim,
+        },
+        rabbit,
+        rabbit_shim,
+        timeline,
+        ap,
+        gen: LineageIdGen::new(7),
+        violations: RefCell::new(RateCounter::new()),
+        windows: RefCell::new(Samples::new()),
+        max_lineage: Cell::new(0),
+        write_times: RefCell::new(HashMap::new()),
+    });
 
     // --- Remote consumer: dispatcher spawns a handler per dequeued task. ---
     {
-        let cfg2 = cfg.clone();
-        let sim2 = sim.clone();
-        let svcs = svcs.clone();
-        let violations = violations.clone();
-        let windows = windows.clone();
-        let max_lineage = max_lineage.clone();
-        let write_times = write_times.clone();
-        let mongo = mongo.clone();
-        let mongo_shim = mongo_shim.clone();
-        let media_store2 = media_store.clone();
-        let media_shim2 = media_shim.clone();
-        let timeline = timeline.clone();
-        let ap = ap.clone();
-        let rabbit_shim2 = rabbit_shim.clone();
-        let rabbit2 = rabbit.clone();
+        let flow = flow.clone();
         sim.spawn_detached(async move {
-            if cfg2.antipode {
-                let mut sub = rabbit_shim2
-                    .subscribe(cfg2.remote)
+            if flow.antipode {
+                let mut sub = flow
+                    .rabbit_shim
+                    .subscribe(flow.remote)
                     .expect("remote configured");
                 while let Ok(Some(msg)) = sub.recv().await {
-                    let post_id = String::from_utf8(msg.payload.to_vec()).expect("post id");
-                    let lineage = msg.lineage.clone();
-                    let svcs = svcs.clone();
-                    let violations = violations.clone();
-                    let windows = windows.clone();
-                    let max_lineage = max_lineage.clone();
-                    let write_times = write_times.clone();
-                    let mongo_shim = mongo_shim.clone();
-                    let media_shim = media_shim2.clone();
-                    let timeline = timeline.clone();
-                    let ap = ap.clone();
-                    let sim3 = sim2.clone();
-                    let remote = cfg2.remote;
-                    sim2.spawn_detached(async move {
-                        svcs.write_home_timeline.process().await;
-                        if let Some(lin) = &lineage {
-                            {
-                                let mut ml = max_lineage.borrow_mut();
-                                *ml = (*ml).max(lin.wire_size());
-                            }
-                            // barrier right after dequeuing the task (§7.1).
-                            ap.barrier(lin, remote).await.expect("shims registered");
-                        }
-                        // The entry's only read: remove it.
-                        let window = write_times
-                            .borrow_mut()
-                            .remove(&post_id)
-                            .map(|t| sim3.now().since(t));
-                        let mut found = mongo_shim
-                            .read(remote, &format!("posts/{post_id}"))
-                            .await
-                            .expect("remote configured")
-                            .is_some();
-                        if found && has_media(&post_id) {
-                            found = media_shim
-                                .read(remote, &format!("media/{post_id}"))
-                                .await
-                                .expect("remote configured")
-                                .is_some();
-                        }
-                        violations.borrow_mut().record(!found);
-                        if let Some(w) = window {
-                            windows.borrow_mut().record_duration(w);
-                        }
-                        if found {
-                            let _ = timeline
-                                .set(remote, &format!("timeline/{post_id}"), Bytes::new())
-                                .await;
-                        }
-                    });
+                    flow.sim
+                        .spawn_detached(flow.clone().deliver(msg.payload, msg.lineage));
                 }
             } else {
-                let mut sub = rabbit2.consume(cfg2.remote).expect("remote configured");
+                let mut sub = flow.rabbit.consume(flow.remote).expect("remote configured");
                 while let Some(msg) = sub.recv().await {
-                    let post_id = String::from_utf8(msg.payload.to_vec()).expect("post id");
-                    let svcs = svcs.clone();
-                    let violations = violations.clone();
-                    let windows = windows.clone();
-                    let write_times = write_times.clone();
-                    let mongo = mongo.clone();
-                    let media_store = media_store2.clone();
-                    let timeline = timeline.clone();
-                    let sim3 = sim2.clone();
-                    let remote = cfg2.remote;
-                    sim2.spawn_detached(async move {
-                        svcs.write_home_timeline.process().await;
-                        // The entry's only read: remove it.
-                        let window = write_times
-                            .borrow_mut()
-                            .remove(&post_id)
-                            .map(|t| sim3.now().since(t));
-                        let mut found = mongo
-                            .find_one(remote, "posts", &post_id)
-                            .await
-                            .expect("remote configured")
-                            .is_some();
-                        if found && has_media(&post_id) {
-                            found = media_store
-                                .find_one(remote, "media", &post_id)
-                                .await
-                                .expect("remote configured")
-                                .is_some();
-                        }
-                        violations.borrow_mut().record(!found);
-                        if let Some(w) = window {
-                            windows.borrow_mut().record_duration(w);
-                        }
-                        if found {
-                            let _ = timeline
-                                .set(remote, &format!("timeline/{post_id}"), Bytes::new())
-                                .await;
-                        }
-                    });
+                    flow.sim
+                        .spawn_detached(flow.clone().deliver(msg.payload, None));
                 }
             }
         });
     }
 
     // --- Writer: the compose-post request, driven open-loop. ---
-    let gen = Rc::new(LineageIdGen::new(7));
     let writer = {
-        let cfg2 = cfg.clone();
-        let sim2 = sim.clone();
-        let rt2 = rt.clone();
-        let svcs2 = svcs.clone();
-        let write_times2 = write_times.clone();
-        let mongo2 = mongo.clone();
-        let mongo_shim2 = mongo_shim.clone();
-        let media_store2 = media_store.clone();
-        let media_shim2 = media_shim.clone();
-        let rabbit2 = rabbit.clone();
-        let rabbit_shim2 = rabbit_shim.clone();
+        let flow = flow.clone();
         run_open_loop(
             &sim.clone(),
             &rt,
             cfg.rate,
             cfg.duration,
             move |i, metrics| {
-                let cfg3 = cfg2.clone();
-                let sim3 = sim2.clone();
-                let rt3 = rt2.clone();
-                let svcs3 = svcs2.clone();
-                let write_times3 = write_times2.clone();
-                let mongo3 = mongo2.clone();
-                let mongo_shim3 = mongo_shim2.clone();
-                let media_store3 = media_store2.clone();
-                let media_shim3 = media_shim2.clone();
-                let rabbit3 = rabbit2.clone();
-                let rabbit_shim3 = rabbit_shim2.clone();
-                let gen3 = gen.clone();
-                sim2.spawn_detached(async move {
-                    let start = sim3.now();
-                    let post_id = format!("p{i}");
-                    rt3.hop(US, US).await;
-                    svcs3.nginx.process().await;
-                    rt3.hop(US, US).await;
-                    svcs3.compose.process().await;
-                    // Parallel fanout to the leaf services.
-                    let s = svcs3.clone();
-                    let rt4 = rt3.clone();
-                    let h_text = sim3.spawn(async move {
-                        rt4.hop(US, US).await;
-                        s.text.process().await;
-                        rt4.hop(US, US).await;
-                        s.url_shorten.process().await;
-                        rt4.hop(US, US).await;
-                        s.user_mention.process().await;
-                    });
-                    let s = svcs3.clone();
-                    let rt4 = rt3.clone();
-                    let h_media = sim3.spawn(async move {
-                        rt4.hop(US, US).await;
-                        s.media.process().await;
-                    });
-                    let s = svcs3.clone();
-                    let rt4 = rt3.clone();
-                    let h_meta = sim3.spawn(async move {
-                        rt4.hop(US, US).await;
-                        s.unique_id.process().await;
-                        rt4.hop(US, US).await;
-                        s.user.process().await;
-                    });
-                    h_text.await;
-                    h_media.await;
-                    h_meta.await;
-                    // Store the post and enqueue the home-timeline fanout.
-                    rt3.hop(US, US).await;
-                    svcs3.post_storage_svc.process().await;
-                    if cfg3.antipode {
-                        let mut lineage = Lineage::new(gen3.next_id());
-                        sim3.sleep(SHIM_CPU).await;
-                        mongo_shim3
-                            .write(
-                                US,
-                                &format!("posts/{post_id}"),
-                                Bytes::from(vec![0u8; 512]),
-                                &mut lineage,
-                            )
-                            .await
-                            .expect("US configured");
-                        write_times3
-                            .borrow_mut()
-                            .insert(post_id.clone(), sim3.now());
-                        if has_media(&post_id) {
-                            sim3.sleep(SHIM_CPU).await;
-                            media_shim3
-                                .write(
-                                    US,
-                                    &format!("media/{post_id}"),
-                                    Bytes::from(vec![0u8; 2048]),
-                                    &mut lineage,
-                                )
-                                .await
-                                .expect("US configured");
-                        }
-                        sim3.sleep(SHIM_CPU).await;
-                        rabbit_shim3
-                            .publish(US, Bytes::from(post_id), &mut lineage)
-                            .await
-                            .expect("US configured");
-                    } else {
-                        mongo3
-                            .insert_one(US, "posts", &post_id, Bytes::from(vec![0u8; 512]))
-                            .await
-                            .expect("US configured");
-                        write_times3
-                            .borrow_mut()
-                            .insert(post_id.clone(), sim3.now());
-                        if has_media(&post_id) {
-                            media_store3
-                                .insert_one(US, "media", &post_id, Bytes::from(vec![0u8; 2048]))
-                                .await
-                                .expect("US configured");
-                        }
-                        rabbit3
-                            .publish(US, Bytes::from(post_id))
-                            .await
-                            .expect("US configured");
-                    }
-                    metrics.record(sim3.now().since(start));
-                });
+                flow.sim.spawn_detached(flow.clone().compose(i, metrics));
             },
         )
     };
 
-    let out_violations = *violations.borrow();
-    let out_windows = windows.borrow().clone();
-    let out_max_lineage = *max_lineage.borrow();
+    let out_violations = *flow.violations.borrow();
+    let out_windows = flow.windows.borrow().clone();
     SocialResult {
         writer,
         violations: out_violations,
         consistency_window: out_windows,
-        max_lineage_bytes: out_max_lineage,
+        max_lineage_bytes: flow.max_lineage.get(),
+    }
+}
+
+/// Everything the compose and delivery tasks touch, shared through one `Rc`
+/// (a per-request clone of each handle would put a dozen handles into every
+/// request future). Both variants run the same two task bodies; `antipode`
+/// forks them only where a store is called.
+struct ComposeFlow {
+    antipode: bool,
+    remote: Region,
+    sim: Sim,
+    rt: Runtime,
+    svcs: Services,
+    posts: Collection,
+    media: Collection,
+    rabbit: RabbitMq,
+    rabbit_shim: QueueShim,
+    timeline: Redis,
+    ap: Antipode,
+    gen: LineageIdGen,
+    violations: RefCell<RateCounter>,
+    windows: RefCell<Samples>,
+    max_lineage: Cell<usize>,
+    /// When each post's MongoDB write committed; removed by the delivery's
+    /// window computation, its only reader.
+    write_times: RefCell<HashMap<String, SimTime>>,
+}
+
+/// One MongoDB collection with both ways in: the raw store (baseline) and
+/// its shim (Antipode).
+struct Collection {
+    name: &'static str,
+    store: MongoDb,
+    shim: KvShim,
+}
+
+impl ComposeFlow {
+    /// Writes one `len`-byte document at the US replica: through the shim,
+    /// after its CPU cost, when the request carries a lineage; straight to
+    /// the store otherwise.
+    async fn put(&self, c: &Collection, post_id: &str, len: usize, lineage: &mut Option<Lineage>) {
+        let doc = Bytes::from(vec![0u8; len]);
+        match lineage {
+            Some(lineage) => {
+                self.sim.sleep(SHIM_CPU).await;
+                c.shim
+                    .write(US, &format!("{}/{post_id}", c.name), doc, lineage)
+                    .await
+                    .expect("US configured");
+            }
+            None => {
+                c.store
+                    .insert_one(US, c.name, post_id, doc)
+                    .await
+                    .expect("US configured");
+            }
+        }
+    }
+
+    /// Whether the remote replica holds the document.
+    async fn found(&self, c: &Collection, post_id: &str) -> bool {
+        if self.antipode {
+            c.shim
+                .read(self.remote, &format!("{}/{post_id}", c.name))
+                .await
+                .expect("remote configured")
+                .is_some()
+        } else {
+            c.store
+                .find_one(self.remote, c.name, post_id)
+                .await
+                .expect("remote configured")
+                .is_some()
+        }
+    }
+
+    /// Writer: one compose-post request.
+    async fn compose(self: Rc<Self>, i: u64, metrics: LoadMetrics) {
+        let start = self.sim.now();
+        let post_id = format!("p{i}");
+        self.rt.hop(US, US).await;
+        self.svcs.nginx.process().await;
+        self.rt.hop(US, US).await;
+        self.svcs.compose.process().await;
+        // Parallel fanout to the leaf services.
+        let f = self.clone();
+        let h_text = self.sim.spawn(async move {
+            f.rt.hop(US, US).await;
+            f.svcs.text.process().await;
+            f.rt.hop(US, US).await;
+            f.svcs.url_shorten.process().await;
+            f.rt.hop(US, US).await;
+            f.svcs.user_mention.process().await;
+        });
+        let f = self.clone();
+        let h_media = self.sim.spawn(async move {
+            f.rt.hop(US, US).await;
+            f.svcs.media.process().await;
+        });
+        let f = self.clone();
+        let h_meta = self.sim.spawn(async move {
+            f.rt.hop(US, US).await;
+            f.svcs.unique_id.process().await;
+            f.rt.hop(US, US).await;
+            f.svcs.user.process().await;
+        });
+        h_text.await;
+        h_media.await;
+        h_meta.await;
+        // Store the post and enqueue the home-timeline fanout.
+        self.rt.hop(US, US).await;
+        self.svcs.post_storage_svc.process().await;
+        let mut lineage = self.antipode.then(|| Lineage::new(self.gen.next_id()));
+        self.put(&self.posts, &post_id, 512, &mut lineage).await;
+        self.write_times
+            .borrow_mut()
+            .insert(post_id.clone(), self.sim.now());
+        if has_media(&post_id) {
+            self.put(&self.media, &post_id, 2048, &mut lineage).await;
+        }
+        match &mut lineage {
+            Some(lineage) => {
+                self.sim.sleep(SHIM_CPU).await;
+                self.rabbit_shim
+                    .publish(US, Bytes::from(post_id), lineage)
+                    .await
+                    .expect("US configured");
+            }
+            None => {
+                self.rabbit
+                    .publish(US, Bytes::from(post_id))
+                    .await
+                    .expect("US configured");
+            }
+        }
+        metrics.record(self.sim.now().since(start));
+    }
+
+    /// Remote consumer: one dequeued home-timeline task. `lineage` is what
+    /// the shim delivered with it (always `None` in the baseline).
+    async fn deliver(self: Rc<Self>, payload: Bytes, lineage: Option<Lineage>) {
+        let post_id = String::from_utf8(payload.to_vec()).expect("post id");
+        self.svcs.write_home_timeline.process().await;
+        if let Some(lin) = &lineage {
+            self.max_lineage
+                .set(self.max_lineage.get().max(lin.wire_size()));
+            // barrier right after dequeuing the task (§7.1).
+            self.ap
+                .barrier(lin, self.remote)
+                .await
+                .expect("shims registered");
+        }
+        // The entry's only read: remove it.
+        let window = self
+            .write_times
+            .borrow_mut()
+            .remove(&post_id)
+            .map(|t| self.sim.now().since(t));
+        let mut found = self.found(&self.posts, &post_id).await;
+        if found && has_media(&post_id) {
+            found = self.found(&self.media, &post_id).await;
+        }
+        self.violations.borrow_mut().record(!found);
+        if let Some(w) = window {
+            self.windows.borrow_mut().record_duration(w);
+        }
+        if found {
+            let _ = self
+                .timeline
+                .set(self.remote, &format!("timeline/{post_id}"), Bytes::new())
+                .await;
+        }
     }
 }
 

@@ -266,14 +266,6 @@ fn run_workload(seed: u64, writers: usize, rounds: usize, batched: bool) -> RunO
     }
 }
 
-/// Wall time of one full workload run (per-writer warmup put, then
-/// `rounds` measured sequential puts per writer). The measurement unit of
-/// the criterion sweep in `benches/engine_plane.rs`, which divides by the
-/// write count via `Throughput::Elements`.
-pub fn timed_workload(seed: u64, writers: usize, rounds: usize, batched: bool) -> Duration {
-    run_workload(seed, writers, rounds, batched).elapsed
-}
-
 /// Runs the batched workload and its unbatched ablation, returning the
 /// combined deterministic counters.
 pub fn deterministic_workload(

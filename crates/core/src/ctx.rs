@@ -9,18 +9,11 @@
 use antipode_lineage::{Baggage, Lineage, WriteId};
 
 use crate::idgen::LineageIdGen;
-use crate::speculation::SpeculationFrontier;
 
 /// Per-request lineage context.
-///
-/// Besides the lineage itself, the context tracks the request's open
-/// [`SpeculationFrontier`]s: each records unmet dependencies the execution
-/// has proceeded past under a speculative barrier. While any frontier is
-/// open, the request's externally-visible effects must stay confined.
 #[derive(Clone, Debug, Default)]
 pub struct LineageCtx {
     current: Option<Lineage>,
-    frontiers: Vec<SpeculationFrontier>,
 }
 
 impl LineageCtx {
@@ -30,19 +23,15 @@ impl LineageCtx {
     }
 
     /// `root()`: initializes an empty lineage in the running process. Used at
-    /// the beginning of a request's execution; replaces any existing lineage
-    /// and forgets frontiers tracked for the previous one.
+    /// the beginning of a request's execution; replaces any existing lineage.
     pub fn root(&mut self, gen: &LineageIdGen) -> &Lineage {
         self.current = Some(Lineage::new(gen.next_id()));
-        self.frontiers.clear();
         self.current.as_ref().expect("just set")
     }
 
-    /// `stop()`: closes the lineage, dropping the ongoing dependency set and
-    /// any tracked frontiers. Returns the discarded lineage (callers may
-    /// still `transfer` from it).
+    /// `stop()`: closes the lineage, dropping the ongoing dependency set.
+    /// Returns the discarded lineage (callers may still `transfer` from it).
     pub fn stop(&mut self) -> Option<Lineage> {
-        self.frontiers.clear();
         self.current.take()
     }
 
@@ -99,32 +88,6 @@ impl LineageCtx {
         if let Ok(l) = baggage.lineage() {
             self.current = Some(l);
         }
-    }
-
-    /// Tracks a speculation frontier this request opened: a speculative
-    /// barrier let execution proceed past unmet dependencies, and until the
-    /// frontier resolves the request's effects must stay confined.
-    pub fn open_frontier(&mut self, frontier: SpeculationFrontier) {
-        self.frontiers.push(frontier);
-    }
-
-    /// Every tracked frontier, resolved or not, in opening order.
-    pub fn frontiers(&self) -> &[SpeculationFrontier] {
-        &self.frontiers
-    }
-
-    /// Whether the request is currently executing past at least one open
-    /// (unresolved) frontier — i.e. whether effects must be confined.
-    pub fn speculating(&self) -> bool {
-        self.frontiers.iter().any(|f| f.is_open())
-    }
-
-    /// Drops frontiers that have resolved (confirmed or violated); returns
-    /// how many were pruned. The remaining set is exactly the open ones.
-    pub fn prune_frontiers(&mut self) -> usize {
-        let before = self.frontiers.len();
-        self.frontiers.retain(|f| f.is_open());
-        before - self.frontiers.len()
     }
 }
 
@@ -205,42 +168,6 @@ mod tests {
         ctx.append(wid("k", 1));
         ctx.extract(&Baggage::new());
         assert_eq!(ctx.lineage().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn frontier_tracking_follows_resolution() {
-        use antipode_sim::{Region, SimTime};
-        let gen = LineageIdGen::new(1);
-        let mut ctx = LineageCtx::new();
-        let id = ctx.root(&gen).id();
-        assert!(!ctx.speculating());
-        let f = SpeculationFrontier::open(id, Region("r"), vec![wid("k", 1)], SimTime::ZERO);
-        ctx.open_frontier(f.clone());
-        assert!(ctx.speculating());
-        assert_eq!(ctx.frontiers().len(), 1);
-        assert_eq!(ctx.prune_frontiers(), 0, "open frontiers are kept");
-        f.confirm(SimTime::from_secs(1), crate::BarrierReport::default());
-        assert!(!ctx.speculating());
-        assert_eq!(ctx.prune_frontiers(), 1);
-        assert!(ctx.frontiers().is_empty());
-    }
-
-    #[test]
-    fn root_and_stop_forget_frontiers() {
-        use antipode_sim::{Region, SimTime};
-        let gen = LineageIdGen::new(1);
-        let mut ctx = LineageCtx::new();
-        let id = ctx.root(&gen).id();
-        ctx.open_frontier(SpeculationFrontier::open(
-            id,
-            Region("r"),
-            vec![wid("k", 1)],
-            SimTime::ZERO,
-        ));
-        ctx.stop();
-        assert!(ctx.frontiers().is_empty(), "stop drops tracked frontiers");
-        ctx.root(&gen);
-        assert!(!ctx.speculating());
     }
 
     #[test]

@@ -168,7 +168,6 @@ impl<S: Substrate> Engine<S> {
                 continue;
             }
             let (phase, due) = self.sample_initial(origin, dest, committed_at);
-            self.inner.inflight.set(self.inner.inflight.get() + 1);
             // Push and arm under one pair-map borrow; the flusher task is
             // spawned outside it (spawning touches only executor state).
             let arm = {
@@ -377,9 +376,6 @@ impl<S: Substrate> Engine<S> {
         // queue order or drop under the no-handoff ablation.
         if !deliver.is_empty() {
             stats::count_send_entries(deliver.len() as u64);
-            self.inner
-                .inflight
-                .set(self.inner.inflight.get() - deliver.len());
             let origin_epoch_now = self.replica_epoch(origin);
             deliver.retain(|item| item.origin_epoch == origin_epoch_now);
             let suppressed = self.inner.substrate.send_suppressed(

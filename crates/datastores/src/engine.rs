@@ -174,12 +174,6 @@ pub(crate) struct EngineInner<S: Substrate> {
     pub(crate) hints: RefCell<Vec<Hint>>,
     /// Optional observation hook for dynamic analysis (race detection).
     pub(crate) probe: RefCell<Option<VisibilityProbe>>,
-    /// Sends currently in flight (queued entries that have not reached their
-    /// terminal step).
-    pub(crate) inflight: Cell<usize>,
-    /// When set, a commit that would push `inflight` past this bound is
-    /// rejected with [`StoreError::Overloaded`] — simple back-pressure.
-    pub(crate) capacity: Cell<Option<usize>>,
     /// Per-(origin, dest) send queues; see [`crate::batch`].
     pub(crate) pairs: RefCell<BTreeMap<(Region, Region), PairQueue>>,
     /// Batched fan-out (default) vs the one-event-per-entry ablation.
@@ -236,8 +230,6 @@ impl<S: Substrate> Engine<S> {
                 recovery: Cell::new(RecoveryConfig::default()),
                 hints: RefCell::new(Vec::new()),
                 probe: RefCell::new(None),
-                inflight: Cell::new(0),
-                capacity: Cell::new(None),
                 pairs: RefCell::new(BTreeMap::new()),
                 batching: Cell::new(true),
                 deliver_scratch: RefCell::new(Vec::new()),
@@ -284,10 +276,6 @@ impl<S: Substrate> Engine<S> {
         self.inner.recovery.set(cfg);
     }
 
-    pub(crate) fn recovery_config(&self) -> RecoveryConfig {
-        self.inner.recovery.get()
-    }
-
     pub(crate) fn set_probe(&self, probe: Option<VisibilityProbe>) {
         *self.inner.probe.borrow_mut() = probe;
     }
@@ -317,20 +305,11 @@ impl<S: Substrate> Engine<S> {
         }
     }
 
-    pub(crate) fn set_send_capacity(&self, cap: Option<usize>) {
-        self.inner.capacity.set(cap);
-    }
-
     /// Toggles batched fan-out. `false` is the determinism ablation: the
     /// same pair-queue machinery, but every entry costs one executor event —
     /// identical traces, unbatched event counts (see [`crate::batch`]).
     pub(crate) fn set_batching(&self, on: bool) {
         self.inner.batching.set(on);
-    }
-
-    /// Whether batched fan-out is enabled.
-    pub(crate) fn batching(&self) -> bool {
-        self.inner.batching.get()
     }
 
     pub(crate) fn check_region(&self, region: Region) -> Result<(), StoreError> {
@@ -375,8 +354,7 @@ impl<S: Substrate> Engine<S> {
     /// Admission follows the substrate: `Reject` fails fast on a gated
     /// region; `Block` parks until the fault plan clears. A crash of the
     /// origin replica *during* the commit latency surfaces as
-    /// [`StoreError::CrashedEpoch`]; a full send queue as
-    /// [`StoreError::Overloaded`].
+    /// [`StoreError::CrashedEpoch`].
     pub(crate) async fn commit(
         &self,
         origin: Region,
@@ -397,13 +375,6 @@ impl<S: Substrate> Engine<S> {
                             .op_blocked(&inner.faults, at, &inner.name, origin)
                     })
                     .await;
-            }
-        }
-        if let Some(cap) = self.inner.capacity.get() {
-            if self.inner.inflight.get() >= cap {
-                return Err(StoreError::Overloaded {
-                    store: self.inner.name.clone(),
-                });
             }
         }
         let epoch0 = self.replica_epoch(origin);
@@ -755,19 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_when_capacity_exhausted() {
-        let (sim, eng) = setup();
-        eng.set_send_capacity(Some(0));
-        let e = eng.clone();
-        sim.block_on(async move {
-            let err = e.commit(EU, Some("k"), Bytes::new()).await.unwrap_err();
-            assert_eq!(err, StoreError::Overloaded { store: "db".into() });
-            e.set_send_capacity(None);
-            e.commit(EU, Some("k"), Bytes::new()).await.unwrap();
-        });
-    }
-
-    #[test]
     fn crash_mid_commit_surfaces_crashed_epoch() {
         let (sim, eng) = setup();
         // The commit sleeps 1ms; crash the origin inside that window. The
@@ -788,17 +746,5 @@ mod tests {
                 "got {err:?}"
             );
         });
-    }
-
-    #[test]
-    fn inflight_counter_returns_to_zero() {
-        let (sim, eng) = setup();
-        let e = eng.clone();
-        sim.spawn(async move {
-            e.commit(EU, Some("k"), Bytes::new()).await.unwrap();
-        });
-        sim.run();
-        assert_eq!(eng.inner.inflight.get(), 0);
-        assert!(eng.is_visible(US, "k", 1));
     }
 }

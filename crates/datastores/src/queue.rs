@@ -117,11 +117,6 @@ impl QueueStore {
         self.engine.set_recovery(cfg);
     }
 
-    /// The broker's current recovery configuration.
-    pub fn recovery_config(&self) -> crate::recovery::RecoveryConfig {
-        self.engine.recovery_config()
-    }
-
     /// Publishes a message from `origin`; returns its id after the publish
     /// commits. Delivery to each region (including the origin) proceeds
     /// asynchronously. A broker outage blocks the publish itself; the
@@ -138,24 +133,12 @@ impl QueueStore {
         self.engine.set_probe(probe);
     }
 
-    /// Back-pressure injection: bound the number of in-flight delivery
-    /// sends. A publish that would exceed the bound is rejected with
-    /// [`StoreError::Overloaded`]. Pass `None` to lift the bound.
-    pub fn set_send_capacity(&self, cap: Option<usize>) {
-        self.engine.set_send_capacity(cap);
-    }
-
     /// Toggles batched delivery fan-out (on by default). `false` selects
     /// the determinism ablation: one virtual-time event per delivery entry
     /// instead of one per batch — same trace, unbatched event counts (see
     /// [`crate::batch`]).
     pub fn set_batching(&self, on: bool) {
         self.engine.set_batching(on);
-    }
-
-    /// Whether batched fan-out is enabled.
-    pub fn batching(&self) -> bool {
-        self.engine.batching()
     }
 
     /// Queued-but-undelivered delivery sends (diagnostics).
@@ -231,17 +214,10 @@ impl QueueStore {
                 .get_mut(&region)
                 .ok_or(StoreError::NoSuchRegion(region))?;
             rs.acked.insert(id);
-            let mut i = 0;
-            while i < rs.ack_waiters.len() {
-                if rs.ack_waiters[i].id == id {
-                    // lint: allow(scheduler-bypass, ack waiters are store bookkeeping —
-                    // the woken wait_acked future still runs only when the executor's
-                    // Schedule picks it)
-                    let w = rs.ack_waiters.swap_remove(i);
-                    let _ = w.tx.send(());
-                } else {
-                    i += 1;
-                }
+            // Wake in subscription order: wake order is the order the
+            // woken tasks reach the ready queue, so it is part of the trace.
+            for w in rs.ack_waiters.extract_if(.., |w| w.id == id) {
+                let _ = w.tx.send(());
             }
         }
         self.engine.emit(|| VisibilityEvent::QueueAcked {
@@ -299,30 +275,6 @@ impl QueueStore {
                 return Ok(());
             }
         }
-    }
-
-    /// Fault injection: hold deliveries to `region` until resumed. Thin
-    /// wrapper over the simulation's [`antipode_sim::fault::FaultPlan`].
-    pub fn pause_delivery(&self, region: Region) {
-        self.engine
-            .faults()
-            .pause_queue_delivery(self.engine.name(), region);
-    }
-
-    /// Ends a [`QueueStore::pause_delivery`] stall.
-    pub fn resume_delivery(&self, region: Region) {
-        self.engine
-            .faults()
-            .resume_queue_delivery(self.engine.name(), region);
-    }
-
-    /// Fault injection: probability each delivery attempt is dropped
-    /// (dropped attempts are redelivered after the redelivery interval).
-    /// Thin wrapper over the [`antipode_sim::fault::FaultPlan`].
-    pub fn set_delivery_drop_probability(&self, p: f64) {
-        self.engine
-            .faults()
-            .set_delivery_drop(self.engine.name(), p);
     }
 
     /// Sets the backoff before a dropped delivery attempt is retried.
@@ -627,7 +579,7 @@ mod tests {
     #[test]
     fn paused_delivery_stalls_until_resume() {
         let (sim, q) = setup();
-        q.pause_delivery(US);
+        sim.faults().pause_queue_delivery(q.name(), US);
         let q2 = q.clone();
         let got: Rc<RefCell<Option<QueueMessage>>> = Rc::new(RefCell::new(None));
         let slot = got.clone();
@@ -638,7 +590,7 @@ mod tests {
         });
         sim.run_for(Duration::from_secs(5));
         assert!(got.borrow().is_none());
-        q.resume_delivery(US);
+        sim.faults().resume_queue_delivery(q.name(), US);
         sim.run_for(Duration::from_secs(5));
         assert!(got.borrow().is_some());
     }

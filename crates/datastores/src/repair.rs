@@ -742,7 +742,7 @@ mod tests {
         store.set_recovery(RecoveryConfig::disabled());
         // Imperative stall: no scheduled heal edge exists, so without the
         // horizon the loop would sweep forever and run() would never return.
-        store.pause_replication(US);
+        sim.faults().stall_replication(store.name(), US);
         store.enable_anti_entropy(RepairConfig {
             period: Duration::from_secs(1),
             horizon: Some(SimTime::from_secs(20)),

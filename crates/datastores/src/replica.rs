@@ -12,9 +12,8 @@
 //! repair) live in [`crate::engine::Engine`]; this module contributes only
 //! the KV-specific read paths (local, strong) and re-exposes the engine
 //! surface under the store's historical API. Failure injection is driven by
-//! the simulation's [`antipode_sim::fault::FaultPlan`]: the store's legacy
-//! knobs ([`KvStore::set_drop_probability`], [`KvStore::pause_replication`],
-//! …) are thin wrappers over the plan.
+//! the simulation's [`antipode_sim::fault::FaultPlan`] (`sim.faults()`),
+//! keyed by the store's name.
 
 use std::future::Future;
 use std::rc::Rc;
@@ -96,11 +95,6 @@ impl KvStore {
         self.engine.set_recovery(cfg);
     }
 
-    /// The store's current recovery configuration.
-    pub fn recovery_config(&self) -> crate::recovery::RecoveryConfig {
-        self.engine.recovery_config()
-    }
-
     /// The store's name (what write identifiers refer to).
     pub fn name(&self) -> &str {
         self.engine.name()
@@ -149,11 +143,6 @@ impl KvStore {
         self.engine.set_batching(on);
     }
 
-    /// Whether batched fan-out is enabled.
-    pub fn batching(&self) -> bool {
-        self.engine.batching()
-    }
-
     /// Queued-but-undelivered replication sends (diagnostics).
     pub fn pending_sends(&self) -> usize {
         self.engine.pending_sends()
@@ -181,13 +170,6 @@ impl KvStore {
     /// [`crate::probe`]. Pass `None` to remove it.
     pub fn set_probe(&self, probe: Option<VisibilityProbe>) {
         self.engine.set_probe(probe);
-    }
-
-    /// Back-pressure injection: bound the number of in-flight replication
-    /// sends. A put that would exceed the bound is rejected with
-    /// [`StoreError::Overloaded`]. Pass `None` to lift the bound.
-    pub fn set_send_capacity(&self, cap: Option<usize>) {
-        self.engine.set_send_capacity(cap);
     }
 
     /// Writes like [`KvStore::put`] but *synchronously*: returns only once
@@ -276,31 +258,6 @@ impl KvStore {
         version: u64,
     ) -> Result<(), StoreError> {
         self.engine.wait_visible(region, key, version).await
-    }
-
-    /// Fault injection: probability each replication send attempt is dropped
-    /// (dropped sends retry after the profile's `retry_interval`). Thin
-    /// wrapper over the simulation's [`antipode_sim::fault::FaultPlan`].
-    pub fn set_drop_probability(&self, p: f64) {
-        self.engine
-            .faults()
-            .set_replication_drop(self.engine.name(), p);
-    }
-
-    /// Fault injection: stop applying replication at `region` until
-    /// [`KvStore::resume_replication`]. Thin wrapper over the
-    /// [`antipode_sim::fault::FaultPlan`].
-    pub fn pause_replication(&self, region: Region) {
-        self.engine
-            .faults()
-            .stall_replication(self.engine.name(), region);
-    }
-
-    /// Ends a [`KvStore::pause_replication`] stall.
-    pub fn resume_replication(&self, region: Region) {
-        self.engine
-            .faults()
-            .unstall_replication(self.engine.name(), region);
     }
 
     /// Congestion injection: adds `lag` to every replication send while set
@@ -511,7 +468,8 @@ mod tests {
     #[test]
     fn dropped_replication_retries_and_lands() {
         let (sim, store) = setup(fast_profile());
-        store.set_drop_probability(0.9); // most attempts dropped, but retried
+        // Most attempts dropped, but retried.
+        sim.faults().set_replication_drop(store.name(), 0.9);
         let s = store.clone();
         sim.block_on(async move {
             let v = s.put(EU, "k", Bytes::from_static(b"x")).await.unwrap();
@@ -523,9 +481,8 @@ mod tests {
     #[test]
     fn paused_replication_stalls_until_resume() {
         let (sim, store) = setup(fast_profile());
-        store.pause_replication(US);
+        sim.faults().stall_replication(store.name(), US);
         let s = store.clone();
-        let s2 = store.clone();
         let sim2 = sim.clone();
         sim.spawn(async move {
             s.put(EU, "k", Bytes::from_static(b"x")).await.unwrap();
@@ -537,7 +494,7 @@ mod tests {
         );
         sim.spawn(async move {
             sim2.sleep(Duration::from_secs(1)).await;
-            s2.resume_replication(US);
+            sim2.faults().unstall_replication("db", US);
         });
         sim.run_for(Duration::from_secs(5));
         assert!(store.get_sync(US, "k").is_some());
@@ -653,21 +610,6 @@ mod tests {
             let eu = s.get_sync(EU, "k").unwrap().visible_at;
             let us = s.get_sync(US, "k").unwrap().visible_at;
             assert!(us > eu);
-        });
-    }
-
-    #[test]
-    fn overload_backpressure_rejects_then_recovers() {
-        let (sim, store) = setup(fast_profile());
-        store.set_send_capacity(Some(0));
-        let s = store.clone();
-        sim.block_on(async move {
-            assert!(matches!(
-                s.put(EU, "k", Bytes::new()).await.unwrap_err(),
-                StoreError::Overloaded { .. }
-            ));
-            s.set_send_capacity(None);
-            s.put(EU, "k", Bytes::new()).await.unwrap();
         });
     }
 }

@@ -52,9 +52,6 @@ fn map_wait_err(e: StoreError) -> WaitError {
         StoreError::CrashedEpoch { store, region } => {
             WaitError::StoreUnavailable(format!("{store}@{region} (crash epoch)"))
         }
-        StoreError::Overloaded { store } => {
-            WaitError::StoreUnavailable(format!("{store} (overloaded)"))
-        }
         // A quarantined replica is degraded the same way an outage is:
         // barriers back off and retry until anti-entropy rejoins it.
         StoreError::IntegrityFault { store, region } => {

@@ -55,12 +55,6 @@ pub enum StoreError {
         /// The region whose replica crashed mid-commit.
         region: Region,
     },
-    /// The store's replication send capacity is exhausted (see
-    /// [`crate::replica::KvStore::set_send_capacity`]). Transient back-pressure.
-    Overloaded {
-        /// The store name.
-        store: String,
-    },
     /// WAL replay found mid-log corruption (a checksum mismatch), so the
     /// replica is quarantined: its reads refuse to serve until anti-entropy
     /// back-fills it from healthy peers and it rejoins with a bumped epoch.
@@ -85,9 +79,6 @@ impl std::fmt::Display for StoreError {
                     f,
                     "store {store} crash-restarted in region {region} mid-commit"
                 )
-            }
-            StoreError::Overloaded { store } => {
-                write!(f, "store {store} overloaded (send capacity exhausted)")
             }
             StoreError::IntegrityFault { store, region } => {
                 write!(

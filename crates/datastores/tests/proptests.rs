@@ -29,7 +29,7 @@ fn store(sim: &Sim, median_ms: f64, sigma: f64, drop_p: f64) -> KvStore {
             retry_interval: Dist::constant_ms(100.0),
         },
     );
-    s.set_drop_probability(drop_p);
+    sim.faults().set_replication_drop(s.name(), drop_p);
     s
 }
 

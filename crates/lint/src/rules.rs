@@ -175,9 +175,7 @@ impl FileContext {
             scheduler_api: crate_name == Some("sim")
                 && matches!(comps.last().copied(), Some("executor.rs" | "schedule.rs")),
             wal_codec: crate_name == Some("datastores") && comps.last().copied() == Some("wal.rs"),
-            test_file: comps
-                .iter()
-                .any(|c| matches!(*c, "tests" | "examples" | "benches")),
+            test_file: comps.iter().any(|c| matches!(*c, "tests" | "examples")),
         }
     }
 }
@@ -185,12 +183,7 @@ impl FileContext {
 const D2_IDENTS: [&str; 3] = ["Instant", "SystemTime", "thread_rng"];
 const X1_CALLS: [&str; 2] = [".write(", ".publish("];
 const X1_CHECKPOINTS: [&str; 4] = ["barrier", "checkpoint", "wait_visible", "wait_acked"];
-const X2_SPECULATION: [&str; 4] = [
-    "barrier_speculative",
-    "SpeculationFrontier",
-    "open_frontier",
-    "Speculator",
-];
+const X2_SPECULATION: [&str; 3] = ["barrier_speculative", "SpeculationFrontier", "Speculator"];
 const X2_CONFINEMENT: [&str; 3] = ["ConfinementBuffer", "confine_write", "confine_publish"];
 const S1_MUTATIONS: [&str; 8] = [
     ".pop_front(",

@@ -130,7 +130,6 @@ pub fn run_cell(spec: &CellSpec, seed: u64, schedule: Box<dyn Schedule>) -> Cell
             retry_interval: Dist::constant_ms(5.0),
         },
     );
-    posts.set_batching(false);
 
     // Notification publish: the writer publishes right after the post write
     // completes (t = 2ms); zero publish/delivery overhead plus the same
@@ -148,7 +147,6 @@ pub fn run_cell(spec: &CellSpec, seed: u64, schedule: Box<dyn Schedule>) -> Cell
             rtt_hops: 1.0,
         },
     );
-    notif.set_batching(false);
 
     // Trace shared by the probes (visibility transitions) and the
     // application tasks (writes, sends, recvs, checkpoints): one Vec, so

@@ -2,7 +2,7 @@
 //!
 //! A simulated microservice runtime on top of `antipode-sim`:
 //!
-//! - [`Runtime`]: network hops / RPC round trips between regions;
+//! - [`Runtime`]: network hops between regions;
 //! - [`Service`]: bounded worker pools with service-time models (what makes
 //!   throughput/latency saturation curves appear in Figs 8–9);
 //! - [`RequestCtx`]: baggage + lineage context propagation per request;
@@ -10,8 +10,8 @@
 //!   *and* response (§6.2), plus per-attempt timeouts, exponential-backoff
 //!   retries with deterministic jitter, and circuit breakers for riding out
 //!   chaos-plane faults;
-//! - [`workload`]: open-loop Poisson and closed-loop drivers with
-//!   latency/throughput metrics;
+//! - [`workload`]: the open-loop Poisson driver with latency/throughput
+//!   metrics;
 //! - [`speculation`]: the service half of the speculation plane — a
 //!   [`Speculator`] that runs handlers past heavy-tail barriers with side
 //!   effects confined, commits on confirmation, and rolls back + redelivers
@@ -34,4 +34,4 @@ pub use rpc::{
 pub use runtime::Runtime;
 pub use service::{Service, ServiceSpec};
 pub use speculation::{SpecError, SpecOutcome, SpecStats, SpeculationPolicy, Speculator};
-pub use workload::{run_open_loop, ClosedLoop, LoadMetrics, OpenLoop};
+pub use workload::{run_open_loop, LoadMetrics, OpenLoop};

@@ -48,10 +48,6 @@ pub enum RpcError {
     /// The circuit breaker is open: the call was shed without hitting the
     /// network.
     CircuitOpen,
-    /// The callee reported itself overloaded (its queue is past the
-    /// [`crate::service::ServiceSpec::queue_limit`] bound) on every attempt:
-    /// the call was shed instead of deepening the backlog.
-    Overloaded,
 }
 
 impl fmt::Display for RpcError {
@@ -61,7 +57,6 @@ impl fmt::Display for RpcError {
                 write!(f, "rpc timed out after {attempts} attempt(s)")
             }
             RpcError::CircuitOpen => write!(f, "circuit breaker open"),
-            RpcError::Overloaded => write!(f, "callee overloaded, call shed"),
         }
     }
 }
@@ -245,16 +240,6 @@ pub struct Endpoint<Req, Resp> {
     retry: RetryPolicy,
     breaker: Option<CircuitBreaker>,
     rng: Rc<RefCell<SimRng>>,
-    /// Responses of completed resumable requests, by request id. A
-    /// re-delivered request whose original already finished returns the
-    /// cached response instead of re-running the handler (exactly-once
-    /// effects over at-least-once delivery).
-    resume_cache: Rc<RefCell<std::collections::BTreeMap<u64, (Resp, Baggage)>>>,
-    /// Resumable requests whose server task is currently running (possibly
-    /// parked inside a crash window). Re-deliveries of these are suppressed.
-    resume_inflight: Rc<RefCell<std::collections::BTreeSet<u64>>>,
-    /// Notified whenever a resumable server task completes.
-    resume_done: Rc<antipode_sim::sync::Notify>,
 }
 
 impl<Req, Resp> Clone for Endpoint<Req, Resp> {
@@ -267,9 +252,6 @@ impl<Req, Resp> Clone for Endpoint<Req, Resp> {
             retry: self.retry.clone(),
             breaker: self.breaker.clone(),
             rng: self.rng.clone(),
-            resume_cache: self.resume_cache.clone(),
-            resume_inflight: self.resume_inflight.clone(),
-            resume_done: self.resume_done.clone(),
         }
     }
 }
@@ -295,9 +277,6 @@ impl<Req: 'static, Resp: 'static> Endpoint<Req, Resp> {
             retry: RetryPolicy::default(),
             breaker: None,
             rng: Rc::new(RefCell::new(rng)),
-            resume_cache: Rc::new(RefCell::new(std::collections::BTreeMap::new())),
-            resume_inflight: Rc::new(RefCell::new(std::collections::BTreeSet::new())),
-            resume_done: Rc::new(antipode_sim::sync::Notify::new()),
         }
     }
 
@@ -349,52 +328,9 @@ impl<Req: 'static, Resp: 'static> Endpoint<Req, Resp> {
         self.rt.hop(self.service.region(), from).await;
         (resp, response_baggage)
     }
-
-    /// The underlying service.
-    pub fn service(&self) -> &Service {
-        &self.service
-    }
-
-    /// Rolls back the resumable-call record of `request_id`, forgetting the
-    /// cached response so the next [`Endpoint::call_resumable`] with the
-    /// same id re-runs the handler — the redelivery half of the speculation
-    /// plane's violation path. The exactly-once dedup machinery is reused
-    /// as-is: after the rollback, redelivery is indistinguishable from a
-    /// first delivery.
-    ///
-    /// Only call this when the original execution's effects were confined
-    /// and discarded (a violated speculation): rolling back a request whose
-    /// effects escaped would re-apply them on redelivery. A request whose
-    /// server task is still in flight cannot be rolled back — the handler
-    /// has not produced its (confined) effects yet — so this returns `false`
-    /// and the caller should await completion first. Returns whether a
-    /// cached response was forgotten.
-    pub fn rollback_resumable(&self, request_id: u64) -> bool {
-        if self.resume_inflight.borrow().contains(&request_id) {
-            return false;
-        }
-        let removed = self.resume_cache.borrow_mut().remove(&request_id).is_some();
-        if removed {
-            // Waiter-cancellation discipline: anyone parked on the resume
-            // notify must re-check the cache, find the entry gone, and
-            // redeliver rather than sleep on a record that no longer exists.
-            self.resume_done.notify_all();
-        }
-        removed
-    }
 }
 
 impl<Req: Clone + 'static, Resp: 'static> Endpoint<Req, Resp> {
-    /// Like [`Endpoint::try_call_from`] with the callee's own region as the
-    /// caller region.
-    pub async fn try_call(
-        &self,
-        caller: &RequestCtx,
-        req: Req,
-    ) -> Result<(Resp, Baggage), RpcError> {
-        self.try_call_from(self.service.region(), caller, req).await
-    }
-
     /// Calls the endpoint with the full resilience protocol: the circuit
     /// breaker is consulted first, then up to `retry.max_attempts` attempts
     /// race the per-attempt timeout, sleeping an exponential-backoff gap
@@ -415,23 +351,6 @@ impl<Req: Clone + 'static, Resp: 'static> Endpoint<Req, Resp> {
         }
         let attempts = self.retry.max_attempts.max(1);
         for attempt in 0..attempts {
-            // Load shedding: an overloaded callee rejects at the door. The
-            // rejection counts as a breaker failure and is retried with
-            // backoff — by the next attempt the backlog may have drained.
-            if self.service.overloaded() {
-                if let Some(b) = &self.breaker {
-                    b.record_failure(sim.now());
-                }
-                if attempt + 1 >= attempts {
-                    return Err(RpcError::Overloaded);
-                }
-                let gap = {
-                    let mut rng = self.rng.borrow_mut();
-                    self.retry.backoff(attempt, &mut *rng)
-                };
-                sim.sleep(gap).await;
-                continue;
-            }
             let outcome = match self.timeout {
                 Some(t) => timeout(&sim, t, self.call_from(from, caller, req.clone())).await,
                 None => Ok(self.call_from(from, caller, req.clone()).await),
@@ -464,72 +383,6 @@ impl<Req: Clone + 'static, Resp: 'static> Endpoint<Req, Resp> {
             }
         }
         unreachable!("loop returns on the final attempt")
-    }
-}
-
-impl<Req: Clone + 'static, Resp: Clone + 'static> Endpoint<Req, Resp> {
-    /// Restart-and-resume call: survives callee crash-restart windows with
-    /// exactly-once handler effects.
-    ///
-    /// The request (with the caller's baggage riding it) is delivered to a
-    /// *detached* server task; if the callee is inside a
-    /// [`antipode_sim::FaultKind::ServiceCrash`] window the task parks until
-    /// the service restarts, then runs the handler. The client re-delivers
-    /// after each patience interval (the endpoint's per-attempt timeout, or
-    /// 1 s) — but re-deliveries of a request that is still in flight are
-    /// suppressed, and re-deliveries of one that already completed return
-    /// the cached response without re-running the handler. `request_id`
-    /// identifies the logical request across deliveries (deduplication key,
-    /// like a WriteId for RPC effects); callers must not reuse ids.
-    pub async fn call_resumable(
-        &self,
-        from: antipode_sim::Region,
-        caller: &RequestCtx,
-        request_id: u64,
-        req: Req,
-    ) -> (Resp, Baggage) {
-        let sim = self.rt.sim().clone();
-        let patience = self.timeout.unwrap_or(Duration::from_secs(1));
-        loop {
-            // Completed (by this delivery or an earlier one): pay the return
-            // hop and hand back the cached response.
-            let cached = self.resume_cache.borrow().get(&request_id).cloned();
-            if let Some((resp, baggage)) = cached {
-                self.rt.hop(self.service.region(), from).await;
-                return (resp, baggage);
-            }
-            // (Re-)deliver: pay the forward hop, then start the server task
-            // unless a previous delivery of this request is still running.
-            self.rt.hop(from, self.service.region()).await;
-            let notified = self.resume_done.notified();
-            let start_server = {
-                let cached = self.resume_cache.borrow().contains_key(&request_id);
-                let mut inflight = self.resume_inflight.borrow_mut();
-                !cached && inflight.insert(request_id)
-            };
-            if start_server {
-                let this = self.clone();
-                let outgoing = caller.outgoing();
-                let req = req.clone();
-                sim.clone().spawn(async move {
-                    // `process` parks through crash windows: the restarted
-                    // service picks the request back up with its baggage
-                    // intact and runs the handler exactly once.
-                    this.service.process().await;
-                    let server_ctx = RequestCtx::from_baggage(outgoing);
-                    let (resp, server_ctx) = (this.handler)(req, server_ctx).await;
-                    let baggage = server_ctx.outgoing();
-                    this.resume_cache
-                        .borrow_mut()
-                        .insert(request_id, (resp, baggage));
-                    this.resume_inflight.borrow_mut().remove(&request_id);
-                    this.resume_done.notify_all();
-                });
-            }
-            // Wait for a completion signal, at most one patience interval,
-            // then loop: either return the now-cached response or re-deliver.
-            let _ = timeout(&sim, patience, notified).await;
-        }
     }
 }
 
@@ -690,200 +543,6 @@ mod tests {
         assert!(b.allow(SimTime::from_secs(11)));
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn overloaded_endpoint_sheds_calls() {
-        let (sim, rt) = setup();
-        let svc = Service::new(
-            &sim,
-            ServiceSpec::new("api", EU)
-                .workers(1)
-                .queue_limit(1)
-                .service_time(antipode_sim::Dist::constant_ms(500.0)),
-        );
-        let endpoint = Endpoint::new(&rt, svc, |(): (), ctx: RequestCtx| async move { ((), ctx) })
-            .with_retry(RetryPolicy {
-                max_attempts: 2,
-                jitter: 0.0,
-                ..RetryPolicy::default()
-            });
-        // Saturate the single worker: one call in service, three queued.
-        for _ in 0..4 {
-            let e = endpoint.clone();
-            sim.spawn(async move {
-                let ctx = RequestCtx::default();
-                e.call_from(EU, &ctx, ()).await;
-            });
-        }
-        sim.block_on({
-            let sim = sim.clone();
-            let endpoint = endpoint.clone();
-            async move {
-                sim.sleep(Duration::from_millis(50)).await;
-                assert!(endpoint.service().overloaded());
-                let err = endpoint
-                    .try_call_from(EU, &ctx_default(), ())
-                    .await
-                    .unwrap_err();
-                assert_eq!(err, RpcError::Overloaded, "both attempts hit the bound");
-            }
-        });
-        // Once the backlog drains, the same endpoint admits calls again.
-        sim.run();
-        sim.block_on(async move {
-            endpoint
-                .try_call_from(EU, &ctx_default(), ())
-                .await
-                .expect("drained service accepts calls");
-        });
-    }
-
-    fn ctx_default() -> RequestCtx {
-        RequestCtx::default()
-    }
-
-    #[test]
-    fn resumable_call_survives_crash_with_exactly_once_effects() {
-        use antipode_sim::{FaultKind, SimTime};
-        use std::cell::Cell;
-        let (sim, rt) = setup();
-        let svc = Service::new(
-            &sim,
-            ServiceSpec::new("api", EU).service_time(antipode_sim::Dist::constant_ms(1.0)),
-        );
-        // The service is crashed for the first 10 virtual seconds; the
-        // 1s-patience client re-delivers ~10 times into the window.
-        sim.faults().schedule(
-            SimTime::ZERO,
-            SimTime::from_secs(10),
-            FaultKind::ServiceCrash {
-                service: "api".into(),
-            },
-        );
-        let count = Rc::new(Cell::new(0u32));
-        let c = count.clone();
-        let endpoint = Endpoint::new(&rt, svc, move |(): (), mut ctx: RequestCtx| {
-            c.set(c.get() + 1);
-            async move {
-                ctx.lineage.append(WriteId::new("posts", "p1", 1));
-                ("done", ctx)
-            }
-        })
-        .with_timeout(Duration::from_secs(1));
-        let e2 = endpoint.clone();
-        sim.block_on({
-            let sim = sim.clone();
-            async move {
-                let gen = LineageIdGen::new(1);
-                let mut ctx = RequestCtx::root(&gen);
-                let (resp, baggage) = e2.call_resumable(EU, &ctx, 7, ()).await;
-                assert_eq!(resp, "done");
-                // The restarted service processed the original baggage: the
-                // handler's shim write rides the response lineage.
-                ctx.absorb_response(&baggage);
-                assert!(ctx
-                    .current()
-                    .unwrap()
-                    .contains(&WriteId::new("posts", "p1", 1)));
-                assert!(
-                    sim.now() >= SimTime::from_secs(10),
-                    "the response waited for the restart"
-                );
-            }
-        });
-        assert_eq!(
-            count.get(),
-            1,
-            "re-deliveries must not duplicate handler effects"
-        );
-        // A re-delivery of the same request id after completion returns the
-        // cached response without re-running the handler.
-        sim.block_on(async move {
-            let ctx = RequestCtx::default();
-            let (resp, _) = endpoint.call_resumable(EU, &ctx, 7, ()).await;
-            assert_eq!(resp, "done");
-        });
-        assert_eq!(count.get(), 1);
-    }
-
-    /// Speculation-plane redelivery: after a rollback the same request id
-    /// re-runs the handler exactly once more, while an in-flight request
-    /// refuses the rollback.
-    #[test]
-    fn rollback_resumable_forgets_the_response_and_redelivers() {
-        use std::cell::Cell;
-        let (sim, rt) = setup();
-        let svc = Service::new(
-            &sim,
-            ServiceSpec::new("api", EU).service_time(antipode_sim::Dist::constant_ms(1.0)),
-        );
-        let count = Rc::new(Cell::new(0u32));
-        let c = count.clone();
-        let endpoint = Endpoint::new(&rt, svc, move |(): (), ctx: RequestCtx| {
-            c.set(c.get() + 1);
-            async move { ("done", ctx) }
-        });
-        let e2 = endpoint.clone();
-        sim.block_on(async move {
-            let ctx = RequestCtx::default();
-            // Unknown ids roll back to nothing.
-            assert!(!e2.rollback_resumable(7));
-            let (resp, _) = e2.call_resumable(EU, &ctx, 7, ()).await;
-            assert_eq!(resp, "done");
-            // Cached: a redelivery does not re-run the handler…
-            let _ = e2.call_resumable(EU, &ctx, 7, ()).await;
-            // …until the speculation violates and the record is rolled back.
-            assert!(e2.rollback_resumable(7));
-            assert!(!e2.rollback_resumable(7), "rollback is idempotent");
-            let (resp, _) = e2.call_resumable(EU, &ctx, 7, ()).await;
-            assert_eq!(resp, "done");
-        });
-        assert_eq!(
-            count.get(),
-            2,
-            "one original run plus exactly one post-rollback redelivery"
-        );
-    }
-
-    #[test]
-    fn rollback_resumable_refuses_inflight_requests() {
-        use antipode_sim::{FaultKind, SimTime};
-        let (sim, rt) = setup();
-        let svc = Service::new(
-            &sim,
-            ServiceSpec::new("api", EU).service_time(antipode_sim::Dist::constant_ms(1.0)),
-        );
-        // Crash window parks the server task: the request stays in flight.
-        sim.faults().schedule(
-            SimTime::ZERO,
-            SimTime::from_secs(10),
-            FaultKind::ServiceCrash {
-                service: "api".into(),
-            },
-        );
-        let endpoint = Endpoint::new(
-            &rt,
-            svc,
-            |(): (), ctx: RequestCtx| async move { ("done", ctx) },
-        )
-        .with_timeout(Duration::from_secs(1));
-        let e2 = endpoint.clone();
-        let sim2 = sim.clone();
-        sim.spawn(async move {
-            let ctx = RequestCtx::default();
-            let _ = e2.call_resumable(EU, &ctx, 9, ()).await;
-        });
-        let e3 = endpoint.clone();
-        sim.spawn(async move {
-            sim2.sleep(Duration::from_secs(5)).await;
-            // Mid-crash the server task is parked but in flight: the
-            // rollback must refuse rather than tear out the dedup record.
-            assert!(!e3.rollback_resumable(9));
-        });
-        sim.run();
-        // Once complete, the rollback succeeds.
-        assert!(endpoint.rollback_resumable(9));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Applications are async functions over shared state; the runtime supplies
 //! the pieces a real deployment would: message transit between regions
-//! ([`Runtime::hop`]), round trips ([`Runtime::rpc_rtt`]), and a shared
-//! deterministic RNG stream for arrival processes.
+//! ([`Runtime::hop`]) and a shared deterministic RNG stream for arrival
+//! processes.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -69,12 +69,6 @@ impl Runtime {
         sim.sleep(d).await;
     }
 
-    /// A full request/response round trip between two regions.
-    pub async fn rpc_rtt(&self, a: Region, b: Region) {
-        self.hop(a, b).await;
-        self.hop(b, a).await;
-    }
-
     /// Samples an exponential inter-arrival gap for a Poisson process with
     /// the given rate (events per second).
     pub fn poisson_gap(&self, rate: f64) -> Duration {
@@ -106,18 +100,6 @@ mod tests {
         });
         let secs = t.since(SimTime::ZERO).as_secs_f64();
         assert!((0.02..0.12).contains(&secs), "US→EU hop {secs}s");
-    }
-
-    #[test]
-    fn rtt_is_roughly_double_the_hop() {
-        let sim = Sim::new(2);
-        let rt = Runtime::new(&sim, Rc::new(Network::global_triangle()));
-        sim.block_on({
-            let rt = rt.clone();
-            async move { rt.rpc_rtt(US, EU).await }
-        });
-        let secs = sim.now().as_secs_f64();
-        assert!((0.05..0.25).contains(&secs), "US↔EU rtt {secs}s");
     }
 
     #[test]

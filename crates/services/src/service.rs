@@ -25,11 +25,6 @@ pub struct ServiceSpec {
     pub workers: usize,
     /// Per-step CPU/service time.
     pub service_time: Dist,
-    /// Load-shedding bound: when this many requests are already queued for a
-    /// worker, the instance reports itself overloaded and resilient callers
-    /// ([`crate::rpc::Endpoint::try_call_from`]) shed instead of queueing.
-    /// `None` (default) never sheds.
-    pub queue_limit: Option<usize>,
 }
 
 impl ServiceSpec {
@@ -41,19 +36,12 @@ impl ServiceSpec {
             region,
             workers: 8,
             service_time: Dist::lognormal_ms(1.0, 0.3),
-            queue_limit: None,
         }
     }
 
     /// Sets the worker count.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Sets the load-shedding queue bound (see [`ServiceSpec::queue_limit`]).
-    pub fn queue_limit(mut self, n: usize) -> Self {
-        self.queue_limit = Some(n);
         self
     }
 
@@ -128,37 +116,6 @@ impl Service {
         };
         self.inner.sim.sleep(d).await;
     }
-
-    /// Executes a handler step of a custom duration factor (e.g. heavier
-    /// endpoints costing several base steps).
-    pub async fn process_scaled(&self, factor: f64) {
-        self.await_alive().await;
-        let _permit = self.inner.sem.acquire().await;
-        let d = {
-            let mut rng = self.inner.rng.borrow_mut();
-            self.inner
-                .spec
-                .service_time
-                .sample_duration(&mut rng)
-                .mul_f64(factor.max(0.0))
-        };
-        self.inner.sim.sleep(d).await;
-    }
-
-    /// Requests currently queued for a worker (diagnostics).
-    pub fn queue_depth(&self) -> usize {
-        self.inner.sem.waiting()
-    }
-
-    /// Whether the instance is past its configured queue bound and resilient
-    /// callers should shed rather than pile on. Always `false` without a
-    /// [`ServiceSpec::queue_limit`].
-    pub fn overloaded(&self) -> bool {
-        self.inner
-            .spec
-            .queue_limit
-            .is_some_and(|limit| self.queue_depth() >= limit)
-    }
 }
 
 #[cfg(test)]
@@ -225,44 +182,5 @@ mod tests {
             10_000_000,
             "10 workers run 10 jobs in one step"
         );
-    }
-
-    #[test]
-    fn queue_limit_reports_overload_until_the_backlog_drains() {
-        use std::time::Duration;
-        let sim = Sim::new(5);
-        let svc = Service::new(
-            &sim,
-            ServiceSpec::new("api", US)
-                .workers(1)
-                .queue_limit(2)
-                .service_time(Dist::constant_ms(10.0)),
-        );
-        assert!(!svc.overloaded(), "idle instance is never overloaded");
-        for _ in 0..4 {
-            let svc = svc.clone();
-            sim.spawn(async move { svc.process().await });
-        }
-        sim.run_for(Duration::from_millis(1));
-        // One in service, three queued: past the bound of 2.
-        assert!(svc.queue_depth() >= 2);
-        assert!(svc.overloaded());
-        sim.run();
-        assert_eq!(svc.queue_depth(), 0);
-        assert!(!svc.overloaded(), "drained backlog clears the overload");
-    }
-
-    #[test]
-    fn process_scaled_multiplies_cost() {
-        let sim = Sim::new(4);
-        let svc = Service::new(
-            &sim,
-            ServiceSpec::new("api", US).service_time(Dist::constant_ms(2.0)),
-        );
-        sim.block_on({
-            let svc = svc.clone();
-            async move { svc.process_scaled(3.0).await }
-        });
-        assert_eq!(sim.now().as_nanos(), 6_000_000);
     }
 }

@@ -8,9 +8,7 @@
 //! Redelivery runs behind an unbounded blocking barrier — by the time the
 //! recovery plane heals the fault (WAL replay, hinted handoff), the
 //! dependencies land and the redelivered execution commits like a plain
-//! blocking one. Combined with [`crate::Endpoint::rollback_resumable`], the
-//! same discipline extends to RPC responses: a violated speculation forgets
-//! the cached resumable response so the next delivery re-runs the handler.
+//! blocking one.
 //!
 //! Two governors keep speculation an optimization rather than a liability:
 //! a per-endpoint *cap* on concurrently open frontiers (excess requests fall

@@ -142,63 +142,6 @@ impl OpenLoop {
     }
 }
 
-/// A closed-loop driver: `clients` independent clients, each issuing the
-/// next request only after the previous one completed plus a think time.
-/// Offered load self-regulates with latency, so a closed-loop run never
-/// overloads the system — useful as the counterpart to [`OpenLoop`] for
-/// capacity probing.
-pub struct ClosedLoop {
-    /// Number of concurrent clients.
-    pub clients: usize,
-    /// Think time between a completion and the next request.
-    pub think: Duration,
-    /// How long each client keeps issuing requests (virtual time).
-    pub duration: Duration,
-}
-
-impl ClosedLoop {
-    /// Creates a driver.
-    pub fn new(clients: usize, think: Duration, duration: Duration) -> Self {
-        ClosedLoop {
-            clients,
-            think,
-            duration,
-        }
-    }
-
-    /// Runs the clients to completion. `request(client, i)` must return a
-    /// future performing one request; its latency is recorded automatically.
-    pub fn run<F, Fut>(&self, sim: &Sim, request: F) -> LoadMetrics
-    where
-        F: Fn(usize, u64) -> Fut + 'static,
-        Fut: std::future::Future<Output = ()> + 'static,
-    {
-        let metrics = LoadMetrics::new();
-        let request = Rc::new(request);
-        for client in 0..self.clients {
-            let sim2 = sim.clone();
-            let metrics = metrics.clone();
-            let request = request.clone();
-            let think = self.think;
-            let duration = self.duration;
-            sim.spawn(async move {
-                let end = sim2.now() + duration;
-                let mut i = 0u64;
-                while sim2.now() < end {
-                    metrics.note_issued(sim2.now());
-                    let start = sim2.now();
-                    request(client, i).await;
-                    metrics.record_at(sim2.now().since(start), sim2.now());
-                    i += 1;
-                    sim2.sleep(think).await;
-                }
-            });
-        }
-        sim.run();
-        metrics
-    }
-}
-
 /// Convenience: run a full open-loop experiment to completion and return the
 /// metrics. `make_request` is called per arrival and must spawn the request
 /// task, reporting completions into the metrics itself.
@@ -283,36 +226,5 @@ mod tests {
         let m = LoadMetrics::new();
         assert_eq!(m.throughput(), 0.0);
         assert!(m.latency().is_none());
-    }
-
-    #[test]
-    fn closed_loop_self_regulates() {
-        // 4 clients, 10ms requests, no think time: throughput ≈ 400 rps
-        // regardless of how slow the "service" is relative to open loop.
-        let sim = Sim::new(11);
-        let driver = ClosedLoop::new(4, Duration::ZERO, Duration::from_secs(10));
-        let s = sim.clone();
-        let metrics = driver.run(&sim, move |_, _| {
-            let s = s.clone();
-            async move { s.sleep(Duration::from_millis(10)).await }
-        });
-        let tput = metrics.throughput();
-        assert!((360.0..440.0).contains(&tput), "throughput {tput}");
-        let lat = metrics.latency().unwrap();
-        assert!((lat.mean - 0.010).abs() < 1e-6);
-    }
-
-    #[test]
-    fn closed_loop_think_time_reduces_load() {
-        let sim = Sim::new(12);
-        let driver = ClosedLoop::new(2, Duration::from_millis(90), Duration::from_secs(10));
-        let s = sim.clone();
-        let metrics = driver.run(&sim, move |_, _| {
-            let s = s.clone();
-            async move { s.sleep(Duration::from_millis(10)).await }
-        });
-        // Each client: one request per 100ms → ~20 rps total.
-        let tput = metrics.throughput();
-        assert!((15.0..25.0).contains(&tput), "throughput {tput}");
     }
 }

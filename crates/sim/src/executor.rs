@@ -1090,54 +1090,6 @@ impl std::fmt::Display for Elapsed {
 }
 impl std::error::Error for Elapsed {}
 
-/// Awaits every future, returning their outputs in order. Futures run
-/// concurrently as spawned tasks.
-pub async fn join_all<T: 'static>(
-    sim: &Sim,
-    futs: impl IntoIterator<Item = impl Future<Output = T> + 'static>,
-) -> Vec<T> {
-    let handles: Vec<JoinHandle<T>> = futs.into_iter().map(|f| sim.spawn(f)).collect();
-    let mut out = Vec::with_capacity(handles.len());
-    for h in handles {
-        out.push(h.await);
-    }
-    out
-}
-
-/// A repeating virtual-time ticker.
-pub struct Interval {
-    sim: Sim,
-    period: Duration,
-    next: SimTime,
-}
-
-impl Interval {
-    /// Creates a ticker firing every `period`, first at `now + period`.
-    pub fn new(sim: &Sim, period: Duration) -> Self {
-        let next = sim.now() + period;
-        Interval {
-            sim: sim.clone(),
-            period,
-            next,
-        }
-    }
-
-    /// Waits for the next tick and returns its scheduled instant. Ticks are
-    /// anchored to the schedule (no drift from processing time), but a tick
-    /// that is already in the past fires immediately and the schedule
-    /// re-anchors to now.
-    pub async fn tick(&mut self) -> SimTime {
-        if self.next > self.sim.now() {
-            self.sim.sleep_until(self.next).await;
-        } else {
-            self.next = self.sim.now();
-        }
-        let at = self.next;
-        self.next = at + self.period;
-        at
-    }
-}
-
 /// Races `fut` against a virtual-time deadline.
 pub async fn timeout<T>(
     sim: &Sim,
@@ -1333,67 +1285,6 @@ mod tests {
         }
         assert_eq!(trace(5), trace(5));
         assert_ne!(trace(5), trace(6));
-    }
-
-    #[test]
-    fn join_all_preserves_order() {
-        let sim = Sim::new(0);
-        let s = sim.clone();
-        let out = sim.block_on(async move {
-            let futs = (0..5u64).map(|i| {
-                let s = s.clone();
-                async move {
-                    // Later indices sleep less: completion order is reversed,
-                    // output order must not be.
-                    s.sleep(Duration::from_millis(50 - i * 10)).await;
-                    i
-                }
-            });
-            join_all(&s, futs).await
-        });
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        // Concurrent: total time is the max, not the sum.
-        assert_eq!(sim.now(), SimTime::from_millis(50));
-    }
-
-    #[test]
-    fn interval_ticks_on_schedule() {
-        let sim = Sim::new(0);
-        let s = sim.clone();
-        let ticks = sim.block_on(async move {
-            let mut iv = Interval::new(&s, Duration::from_millis(100));
-            let mut ticks = Vec::new();
-            for _ in 0..3 {
-                ticks.push(iv.tick().await);
-                // Processing time shorter than the period: no drift.
-                s.sleep(Duration::from_millis(10)).await;
-            }
-            ticks
-        });
-        assert_eq!(
-            ticks,
-            vec![
-                SimTime::from_millis(100),
-                SimTime::from_millis(200),
-                SimTime::from_millis(300)
-            ]
-        );
-    }
-
-    #[test]
-    fn interval_reanchors_after_falling_behind() {
-        let sim = Sim::new(0);
-        let s = sim.clone();
-        sim.block_on(async move {
-            let mut iv = Interval::new(&s, Duration::from_millis(10));
-            iv.tick().await;
-            // Fall far behind the schedule.
-            s.sleep(Duration::from_millis(500)).await;
-            let at = iv.tick().await;
-            assert_eq!(at, SimTime::from_millis(510), "late tick fires immediately");
-            let next = iv.tick().await;
-            assert_eq!(next, SimTime::from_millis(520), "schedule re-anchored");
-        });
     }
 
     #[test]

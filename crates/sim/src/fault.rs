@@ -13,10 +13,10 @@
 //!   are declared up front (or mid-run) and evaluated purely from the
 //!   current [`SimTime`], so the same seed and plan always replay the same
 //!   execution.
-//! - **Imperative overrides**: the legacy per-store knobs
-//!   (`set_drop_probability`, `pause_replication`, …) forward here, so
-//!   existing failure-injection code keeps working while sharing the single
-//!   source of truth.
+//! - **Imperative overrides**: per-store knobs set and cleared mid-run
+//!   ([`FaultPlan::set_replication_drop`], [`FaultPlan::stall_replication`],
+//!   [`FaultPlan::pause_queue_delivery`], …), combined with any active
+//!   windows of the same kind.
 //!
 //! Blocked layers park on [`FaultPlan::until_clear`], which wakes
 //! deterministically at the next scheduled transition (or on an imperative
@@ -25,7 +25,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use std::time::Duration;
 
 use crate::dist::Dist;
 use crate::executor::{timeout, Sim};
@@ -230,25 +229,8 @@ impl FaultPlan {
         self.inner.changed.notify_all();
     }
 
-    /// Schedules `kind` starting at `from` and lasting `duration`.
-    pub fn schedule_for(&self, from: SimTime, duration: Duration, kind: FaultKind) {
-        self.schedule(from, from + duration, kind);
-    }
-
-    /// Removes every scheduled window (imperative overrides are untouched).
-    pub fn clear_windows(&self) {
-        self.inner.windows.borrow_mut().clear();
-        self.recompute_noisy();
-        self.inner.changed.notify_all();
-    }
-
-    /// Number of scheduled windows (diagnostics).
-    pub fn window_count(&self) -> usize {
-        self.inner.windows.borrow().len()
-    }
-
     // ------------------------------------------------------------------
-    // Imperative overrides (the legacy knobs forward here)
+    // Imperative overrides
     // ------------------------------------------------------------------
 
     /// Sets the imperative replication-drop probability for a KV store
@@ -522,9 +504,9 @@ impl FaultPlan {
     }
 
     /// The disk faults active against `store`'s replica in `region`,
-    /// each tagged with its window's stable index (windows are append-only
-    /// until [`FaultPlan::clear_windows`]), so a recovery monitor can apply
-    /// one-shot damage (torn tail, bit flips) exactly once per window.
+    /// each tagged with its window's stable index (windows are append-only),
+    /// so a recovery monitor can apply one-shot damage (torn tail, bit
+    /// flips) exactly once per window.
     pub fn disk_faults(
         &self,
         at: SimTime,
@@ -634,6 +616,7 @@ impl std::fmt::Debug for FaultPlan {
 mod tests {
     use super::*;
     use crate::net::regions::{EU, SG, US};
+    use std::time::Duration;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -764,7 +747,6 @@ mod tests {
         let plan = FaultPlan::new();
         plan.schedule(t(5), t(5), FaultKind::RegionOutage { region: US });
         plan.schedule(t(9), t(2), FaultKind::RegionOutage { region: US });
-        assert_eq!(plan.window_count(), 0);
         assert_eq!(plan.next_transition_after(SimTime::ZERO), None);
     }
 

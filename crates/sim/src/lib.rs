@@ -19,7 +19,7 @@
 //! - [`fault`]: the [`FaultPlan`] chaos schedule (outages, partitions,
 //!   drop/stall episodes) consulted by every layer;
 //! - [`dist`]: latency distributions (log-normal, mixtures, …);
-//! - [`metrics`]: sample sets, histograms, rate counters;
+//! - [`metrics`]: sample sets, rate counters;
 //! - [`rng`]: deterministic ChaCha streams;
 //! - [`time`]: the [`SimTime`] virtual clock.
 //!
@@ -50,11 +50,9 @@ pub mod sync;
 pub mod time;
 
 pub use dist::Dist;
-pub use executor::{
-    join_all, live_sims, timeout, Elapsed, Interval, JoinHandle, Sim, Sleep, StuckTask,
-};
+pub use executor::{live_sims, timeout, Elapsed, JoinHandle, Sim, Sleep, StuckTask};
 pub use fault::{DiskFaultKind, FaultKind, FaultPlan, FaultWindow};
-pub use metrics::{Histogram, RateCounter, Samples, Summary};
+pub use metrics::{RateCounter, Samples, Summary};
 pub use net::{Network, Region};
 pub use rng::SimRng;
 pub use schedule::{

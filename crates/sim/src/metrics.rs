@@ -1,5 +1,5 @@
-//! Measurement utilities for experiments: exact sample sets, log-bucketed
-//! histograms, and summary statistics with percentiles.
+//! Measurement utilities for experiments: exact sample sets and summary
+//! statistics with percentiles.
 
 use std::fmt;
 use std::time::Duration;
@@ -113,123 +113,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A log-linear bucketed histogram for unbounded streams where storing every
-/// sample would be wasteful. Values are non-negative; relative error per
-/// bucket is bounded by `1 / SUBBUCKETS`.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    /// buckets[p][s]: count of values v with exponent p and sub-bucket s.
-    buckets: Vec<[u64; Self::SUBBUCKETS]>,
-    count: u64,
-    sum: f64,
-    max: f64,
-    min: f64,
-    /// Smallest resolvable value; everything below lands in the first bucket.
-    floor: f64,
-}
-
-impl Histogram {
-    const SUBBUCKETS: usize = 16;
-
-    /// Creates a histogram with `floor` as the smallest resolvable value
-    /// (e.g. `1e-6` for microsecond-resolution latencies in seconds).
-    pub fn new(floor: f64) -> Self {
-        assert!(floor > 0.0, "floor must be positive");
-        Histogram {
-            buckets: Vec::new(),
-            count: 0,
-            sum: 0.0,
-            max: f64::NEG_INFINITY,
-            min: f64::INFINITY,
-            floor,
-        }
-    }
-
-    fn bucket_of(&self, v: f64) -> (usize, usize) {
-        if v < self.floor {
-            return (0, 0);
-        }
-        let ratio = v / self.floor;
-        let exp = ratio.log2().floor() as usize;
-        let base = self.floor * (1u64 << exp.min(63)) as f64;
-        let frac = (v / base - 1.0).clamp(0.0, 0.999_999);
-        (exp, (frac * Self::SUBBUCKETS as f64) as usize)
-    }
-
-    fn bucket_value(&self, exp: usize, sub: usize) -> f64 {
-        let base = self.floor * (1u64 << exp.min(63)) as f64;
-        base * (1.0 + (sub as f64 + 0.5) / Self::SUBBUCKETS as f64)
-    }
-
-    /// Records one non-negative value.
-    pub fn record(&mut self, v: f64) {
-        let v = v.max(0.0);
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-        self.min = self.min.min(v);
-        let (exp, sub) = self.bucket_of(v);
-        if exp >= self.buckets.len() {
-            self.buckets.resize(exp + 1, [0; Self::SUBBUCKETS]);
-        }
-        self.buckets[exp][sub] += 1;
-    }
-
-    /// Records a duration in seconds.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_secs_f64());
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Approximate value at the given percentile (0–100).
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (exp, subs) in self.buckets.iter().enumerate() {
-            for (sub, &c) in subs.iter().enumerate() {
-                seen += c;
-                if seen >= target {
-                    return self.bucket_value(exp, sub).min(self.max);
-                }
-            }
-        }
-        self.max
-    }
-
-    /// Summary statistics (approximate percentiles).
-    pub fn summary(&self) -> Option<Summary> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(Summary {
-            count: self.count as usize,
-            mean: self.mean(),
-            min: self.min,
-            max: self.max,
-            p50: self.percentile(50.0),
-            p90: self.percentile(90.0),
-            p95: self.percentile(95.0),
-            p99: self.percentile(99.0),
-        })
-    }
-}
-
 /// Counts successes and failures of a repeated check, e.g. XCY violations.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RateCounter {
@@ -325,49 +208,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.summary().unwrap().mean, 2.0);
-    }
-
-    #[test]
-    fn histogram_percentiles_are_approximate() {
-        let mut h = Histogram::new(1e-6);
-        for i in 1..=10_000 {
-            h.record(i as f64 / 1000.0); // 1ms .. 10s
-        }
-        let p50 = h.percentile(50.0);
-        assert!((p50 - 5.0).abs() / 5.0 < 0.1, "p50 {p50}");
-        let p99 = h.percentile(99.0);
-        assert!((p99 - 9.9).abs() / 9.9 < 0.1, "p99 {p99}");
-        assert_eq!(h.count(), 10_000);
-        assert!((h.mean() - 5.0005).abs() < 0.01);
-    }
-
-    #[test]
-    fn histogram_handles_tiny_values() {
-        let mut h = Histogram::new(1e-6);
-        h.record(0.0);
-        h.record(1e-9);
-        assert_eq!(h.count(), 2);
-        assert!(h.percentile(100.0) <= 1e-6 + 1e-9);
-    }
-
-    #[test]
-    fn histogram_summary_matches_exact_roughly() {
-        let mut h = Histogram::new(1e-6);
-        let mut s = Samples::new();
-        let mut rng = crate::rng::rng_from_seed(11);
-        let d = crate::dist::Dist::LogNormal {
-            median: 0.1,
-            sigma: 0.8,
-        };
-        for _ in 0..20_000 {
-            let v = d.sample(&mut rng);
-            h.record(v);
-            s.record(v);
-        }
-        let hs = h.summary().unwrap();
-        let ss = s.summary().unwrap();
-        assert!((hs.p50 - ss.p50).abs() / ss.p50 < 0.1);
-        assert!((hs.p99 - ss.p99).abs() / ss.p99 < 0.1);
     }
 
     #[test]

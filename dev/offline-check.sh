@@ -8,7 +8,7 @@ set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cfg=()
-for crate in bytes rand rand_chacha proptest serde serde_json criterion; do
+for crate in bytes rand rand_chacha proptest serde serde_json; do
   cfg+=(--config "patch.crates-io.${crate}.path=\"${root}/dev/offline-stubs/${crate}\"")
 done
 exec cargo "${cfg[@]}" "$@"

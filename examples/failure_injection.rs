@@ -39,7 +39,6 @@ fn replication_stall() {
     ap.register(Rc::new(shim.clone()));
 
     // Fault: the US replica stalls for 90 seconds, starting at t=1s.
-    let store = posts.store().clone();
     let sim2 = sim.clone();
     sim.spawn(async move {
         sim2.sleep(Duration::from_secs(1)).await;
@@ -47,9 +46,9 @@ fn replication_stall() {
             "[fault]    t={} US replica stalls (e.g. network partition)",
             sim2.now()
         );
-        store.pause_replication(US);
+        sim2.faults().stall_replication("post-storage", US);
         sim2.sleep(Duration::from_secs(90)).await;
-        store.resume_replication(US);
+        sim2.faults().unstall_replication("post-storage", US);
         println!("[fault]    t={} US replica recovers", sim2.now());
     });
 

@@ -45,7 +45,7 @@ proptest! {
             .enumerate()
             .map(|(i, (m, s))| {
                 let st = KvStore::new(&sim, net.clone(), format!("store-{i}"), &[EU, US], profile(*m, *s));
-                st.set_drop_probability(drop_p);
+                sim.faults().set_replication_drop(st.name(), drop_p);
                 st
             })
             .collect();

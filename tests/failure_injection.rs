@@ -39,7 +39,8 @@ fn setup() -> (Sim, KvStore, KvShim, Antipode) {
 #[test]
 fn barrier_rides_out_dropped_replication() {
     let (sim, store, shim, ap) = setup();
-    store.set_drop_probability(0.95); // almost everything dropped, retried
+    // Almost everything dropped, retried.
+    sim.faults().set_replication_drop(store.name(), 0.95);
     let blocked = sim.clone().block_on(async move {
         let mut l = Lineage::new(LineageId(1));
         shim.write(EU, "k", Bytes::from_static(b"v"), &mut l)
@@ -56,12 +57,11 @@ fn barrier_rides_out_dropped_replication() {
 #[test]
 fn barrier_waits_through_a_paused_replica_until_resume() {
     let (sim, store, shim, ap) = setup();
-    store.pause_replication(US);
-    let store2 = store.clone();
+    sim.faults().stall_replication(store.name(), US);
     let sim2 = sim.clone();
     sim.spawn(async move {
         sim2.sleep(Duration::from_secs(30)).await;
-        store2.resume_replication(US);
+        sim2.faults().unstall_replication("db", US);
     });
     let blocked = sim.clone().block_on(async move {
         let mut l = Lineage::new(LineageId(1));
@@ -79,7 +79,7 @@ fn barrier_waits_through_a_paused_replica_until_resume() {
 #[test]
 fn barrier_timeout_during_stall_reports_unmet_then_recovers() {
     let (sim, store, shim, ap) = setup();
-    store.pause_replication(US);
+    sim.faults().stall_replication(store.name(), US);
     let shim2 = shim.clone();
     let ap2 = ap.clone();
     let lineage = sim.clone().block_on(async move {
@@ -99,7 +99,7 @@ fn barrier_timeout_during_stall_reports_unmet_then_recovers() {
         l
     });
     // After the fault clears, the same barrier succeeds.
-    store.resume_replication(US);
+    sim.faults().unstall_replication(store.name(), US);
     sim.clone().block_on(async move {
         ap.barrier(&lineage, US).await.unwrap();
     });
@@ -133,7 +133,7 @@ fn queue_pause_stalls_consumers_but_not_publishers() {
     let sim = Sim::new(0xFA18);
     let net = Rc::new(Network::global_triangle());
     let q = QueueStore::new(&sim, net, "q", &[EU, US], Default::default());
-    q.pause_delivery(US);
+    sim.faults().pause_queue_delivery(q.name(), US);
     let q2 = q.clone();
     // Publisher proceeds immediately (asynchronous delivery).
     let id = sim
@@ -142,7 +142,7 @@ fn queue_pause_stalls_consumers_but_not_publishers() {
     sim.run_for(Duration::from_secs(10));
     assert!(!q.is_visible(US, id), "paused delivery must not land");
     assert!(q.is_visible(EU, id), "local delivery unaffected");
-    q.resume_delivery(US);
+    sim.faults().resume_queue_delivery(q.name(), US);
     sim.run_for(Duration::from_secs(5));
     assert!(q.is_visible(US, id));
 }
@@ -179,7 +179,7 @@ fn dropped_deliveries_are_redelivered() {
     let sim = Sim::new(0xFA20);
     let net = Rc::new(Network::global_triangle());
     let q = QueueStore::new(&sim, net, "q", &[EU, US], Default::default());
-    q.set_delivery_drop_probability(0.8);
+    sim.faults().set_delivery_drop(q.name(), 0.8);
     q.set_redelivery_interval(Dist::constant_ms(50.0));
     let q2 = q.clone();
     sim.clone().block_on(async move {

@@ -1,9 +1,10 @@
 //! The waiter wake-order contract (DESIGN.md §14): an apply wakes the
-//! waiters of its own key in subscription order, and every bulk
-//! cancellation — outage entry, replica crash, quarantine — wakes in
-//! *global* subscription order, whatever keys the waiters parked on. Wake
-//! order is the order the woken tasks reach the executor's ready queue, so
-//! it is part of `seed + plan ⇒ identical trace`.
+//! waiters of its own key in subscription order, an ack the waiters of its
+//! own message id likewise, and every bulk cancellation — outage entry,
+//! replica crash, quarantine — wakes in *global* subscription order,
+//! whatever keys the waiters parked on. Wake order is the order the woken
+//! tasks reach the executor's ready queue, so it is part of
+//! `seed + plan ⇒ identical trace`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -13,6 +14,7 @@ use antipode_sim::dist::Dist;
 use antipode_sim::net::regions::{EU, US};
 use antipode_sim::{DiskFaultKind, FaultKind, Network, Sim, SimTime};
 use antipode_store::replica::{KvProfile, KvStore, StoreError};
+use antipode_store::QueueStore;
 use bytes::Bytes;
 
 fn profile() -> KvProfile {
@@ -73,6 +75,29 @@ fn same_key_waiters_wake_in_subscription_order() {
     assert_eq!(woken(&log), vec![0, 2, 3, 4]);
     assert!(log.borrow().iter().all(|(_, outcome)| outcome.is_ok()));
     assert_eq!(store.waiter_count(US), 1, "the bystander stays parked");
+}
+
+#[test]
+fn same_id_ack_waiters_wake_in_subscription_order() {
+    let sim = Sim::new(5);
+    let net = Rc::new(Network::global_triangle());
+    let q = QueueStore::new(&sim, net, "q", &[EU, US], Default::default());
+    // Three waiters on message 1 with a bystander between them: a
+    // swap-remove scan would wake 0, 3, 2.
+    let log: Rc<RefCell<Vec<usize>>> = Rc::default();
+    for (i, id) in [1, 2, 1, 1].into_iter().enumerate() {
+        let q = q.clone();
+        let log = log.clone();
+        sim.spawn_detached(async move {
+            q.wait_acked(US, id).await.unwrap();
+            log.borrow_mut().push(i);
+        });
+    }
+    sim.run_until(SimTime::from_secs(1));
+    assert!(log.borrow().is_empty(), "nothing is acked yet");
+    q.ack(US, 1).unwrap();
+    sim.run_until(SimTime::from_secs(2));
+    assert_eq!(*log.borrow(), vec![0, 2, 3]);
 }
 
 /// Subscription order that disagrees with key order, two waiters sharing a
