@@ -3,10 +3,9 @@
 //! `barrier` unpacks the write identifiers carried by a lineage, groups them
 //! by datastore, and calls each store's `wait` against the replica co-located
 //! with the caller. It returns once every dependency is visible (or
-//! superseded). Variants: a budgeted form, an asynchronous form that invokes a
-//! callback, and a **dry-run** mode that only reports which dependencies are
-//! not yet visible — the passive consistency checker developers use to find
-//! barrier placements.
+//! superseded). Variants: a budgeted form and a **dry-run** mode that only
+//! reports which dependencies are not yet visible — the passive consistency
+//! checker developers use to find barrier placements.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -485,21 +484,6 @@ impl Antipode {
         )
     }
 
-    /// Asynchronous barrier: returns immediately; `callback` runs once the
-    /// dependencies are visible (paper §6.3's callback variant).
-    pub fn barrier_async(
-        &self,
-        lineage: Lineage,
-        region: Region,
-        callback: impl FnOnce(Result<BarrierReport, BarrierError>) + 'static,
-    ) {
-        let this = self.clone();
-        self.sim.spawn(async move {
-            let res = this.barrier(&lineage, region).await;
-            callback(res);
-        });
-    }
-
     /// Dry-run mode (§6.3): simulates enforcement without blocking,
     /// reporting which dependencies would have stalled the barrier. Unknown
     /// stores are reported rather than failing, regardless of policy.
@@ -653,23 +637,6 @@ mod tests {
         let l = lineage_with(&[("ghost", "k", 1)]);
         let report = sim.block_on(async move { ap.barrier(&l, HERE).await.unwrap() });
         assert_eq!(report.skipped, 1);
-    }
-
-    #[test]
-    fn barrier_async_invokes_callback() {
-        let sim = Sim::new(0);
-        let store = TestStore::new(&sim, "db");
-        store.visible_after("k", 1, Duration::from_millis(50));
-        let mut ap = Antipode::new(sim.clone());
-        ap.register(store);
-        let l = lineage_with(&[("db", "k", 1)]);
-        let done: Rc<RefCell<Option<BarrierReport>>> = Rc::new(RefCell::new(None));
-        let slot = done.clone();
-        ap.barrier_async(l, HERE, move |res| {
-            *slot.borrow_mut() = Some(res.unwrap());
-        });
-        sim.run();
-        assert!(done.borrow().is_some());
     }
 
     /// A WaitTarget that reports `StoreUnavailable` for the first

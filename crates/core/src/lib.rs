@@ -18,7 +18,7 @@
 //!   Concrete shims for eight stores live in the `antipode-store` crate.
 //! - **Core API** ([`Antipode::barrier`]): enforces a lineage's
 //!   dependencies at a developer-chosen point, decoupled from reads and
-//!   writes, with timeout/async variants and a dry-run consistency checker.
+//!   writes, with a budgeted variant and a dry-run consistency checker.
 //!
 //! ```
 //! use antipode::{Antipode, LineageCtx, LineageIdGen};

@@ -16,7 +16,7 @@
 //! pub/sub fan-out).
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use antipode_sim::net::Network;
@@ -31,7 +31,7 @@ use crate::recovery::{Hint, RecoveryConfig, WalEntry};
 use crate::stats;
 use crate::substrate::{stream_name, Admission, ApplyCtx, StoreError, Substrate};
 use crate::waiters::WaiterIndex;
-use crate::wal::WalLog;
+use crate::wal::{WalLog, CHECKPOINT_INTERVAL};
 
 /// A record as held by one engine replica. The KV facade re-exposes this as
 /// [`crate::replica::StoredValue`]; the queue facade reads it back as a
@@ -78,8 +78,70 @@ pub enum ReplicaHealth {
     Tainted,
 }
 
+/// The versions one replica has applied: a contiguous prefix plus a bitmap
+/// of the out-of-order arrivals above it. The bitmap is a ring of words
+/// that slides with the prefix, so a mark allocates only when the window
+/// of in-flight versions outgrows every window before it.
+///
+/// The prefix is volatile like the memtable: a restart rebuilds it from
+/// what survived ([`ReplicaState::rebuild_applied`]), so a replica never
+/// claims a version it lost.
+pub(crate) struct AppliedPrefix {
+    /// Every version below this was applied. Versions start at 1.
+    below: u64,
+    /// Bit `v % 64` of word `v / 64 - below / 64`: version `v` was applied.
+    above: VecDeque<u64>,
+}
+
+impl Default for AppliedPrefix {
+    fn default() -> Self {
+        AppliedPrefix::starting_at(1)
+    }
+}
+
+impl AppliedPrefix {
+    fn starting_at(below: u64) -> Self {
+        AppliedPrefix {
+            below: below.max(1),
+            above: VecDeque::new(),
+        }
+    }
+
+    /// The first version not known to be applied.
+    pub(crate) fn below(&self) -> u64 {
+        self.below
+    }
+
+    /// Records `version` as applied. A version at or above `unassigned` is
+    /// one this store never committed (test plumbing, a rotted log record
+    /// replayed with verification off): it can never join the prefix and
+    /// must not size the bitmap, so it is ignored.
+    fn mark(&mut self, version: u64, unassigned: u64) {
+        if version < self.below || version >= unassigned {
+            return;
+        }
+        let word = (version / 64 - self.below / 64) as usize;
+        if word >= self.above.len() {
+            self.above.resize(word + 1, 0);
+        }
+        self.above[word] |= 1 << (version % 64);
+        // Slide the prefix over every contiguous applied bit.
+        while let Some(&front) = self.above.front() {
+            let bit = self.below % 64;
+            let run = u64::from((!(front >> bit)).trailing_zeros()).min(64 - bit);
+            self.below += run;
+            if bit + run < 64 {
+                break;
+            }
+            self.above.pop_front();
+        }
+    }
+}
+
 #[derive(Default)]
 pub(crate) struct ReplicaState {
+    /// The table. Records that became visible before `flushed_at` are
+    /// durable in it; the rest are volatile and live on in the WAL.
     pub(crate) data: BTreeMap<Rc<str>, Record>,
     /// Parked [`Engine::wait_visible`] subscriptions; see [`crate::waiters`]
     /// for the wake-order contract.
@@ -100,6 +162,19 @@ pub(crate) struct ReplicaState {
     pub(crate) epoch: u64,
     /// Quarantine flag; see [`ReplicaHealth`].
     pub(crate) health: ReplicaHealth,
+    /// The instant of the last checkpoint
+    /// ([`ReplicaState::checkpoint_if_due`]):
+    /// a crash keeps the records that were visible before it. Zero until
+    /// the first checkpoint — then a crash keeps nothing.
+    pub(crate) flushed_at: SimTime,
+    /// Which versions this replica has applied; the store's stable
+    /// frontier is the minimum of the prefixes ([`Engine::stable_frontier`]).
+    pub(crate) applied: AppliedPrefix,
+    /// Reclaiming families only: every version below this was applied at
+    /// every replica and its record dropped here. Durable metadata, like
+    /// acks: visibility of a collected version is answered from it, and an
+    /// apply or a replay of one is a no-op.
+    pub(crate) collected_below: u64,
 }
 
 impl ReplicaState {
@@ -108,6 +183,8 @@ impl ReplicaState {
     /// (both model durable storage). Keys are shared `Rc<str>`s, so the
     /// index entry is a refcount bump, not a string copy.
     pub(crate) fn wal_append(&mut self, entry: WalEntry) {
+        // Before the dedupe: a checkpoint rebuilds the index.
+        self.checkpoint_if_due(entry.visible_at, false);
         match self.wal_index.entry(Rc::clone(&entry.key)) {
             std::collections::btree_map::Entry::Occupied(mut logged) => {
                 if *logged.get() >= entry.version {
@@ -119,8 +196,62 @@ impl ReplicaState {
                 slot.insert(entry.version);
             }
         }
+        self.log(entry);
+    }
+
+    fn log(&mut self, entry: WalEntry) {
         let framed = self.wal.append(entry);
         stats::count_wal_append(framed as u64);
+        stats::note_wal_resident(self.wal.resident_len() as u64);
+    }
+
+    /// The flush, once a [`CHECKPOINT_INTERVAL`] of appends has gone by: at
+    /// `now`, the table as it stood before this instant becomes durable in
+    /// place, and the log keeps only what that table cannot vouch for.
+    ///
+    /// Entries of this very instant stay (their records are not `<
+    /// now`). Where every append follows its memtable insert (`fresh`)
+    /// nothing else can be missing from the table, so the instant alone
+    /// decides and no record is looked up. Otherwise the log also holds
+    /// commits whose delivery has not landed here yet — the only durable
+    /// copy of those publishes — so an entry goes only if the table holds
+    /// its record from before `now`, or it was collected; the dedupe index
+    /// is rebuilt over the entries that stay, which are the only keys it
+    /// can still be asked about (an apply of a record the table holds is
+    /// not a new insert and never reaches the index).
+    ///
+    /// A key overwritten since the flush whose newer record turns out not
+    /// to be replayable (a lost append, a torn tail) restarts absent rather
+    /// than at the flushed version: the table is flushed in place, not
+    /// copied. Anti-entropy back-fills it like any other bounded loss.
+    fn checkpoint_if_due(&mut self, now: SimTime, fresh: bool) {
+        if !self.wal.checkpoint_due() {
+            return;
+        }
+        let ReplicaState {
+            wal,
+            wal_index,
+            data,
+            collected_below,
+            ..
+        } = self;
+        if fresh {
+            wal.checkpoint(|e| e.visible_at >= now);
+        } else {
+            wal_index.clear();
+            wal.checkpoint(|e| {
+                let flushed = e.version < *collected_below
+                    || data
+                        .get(&e.key)
+                        .is_some_and(|r| r.version >= e.version && r.visible_at < now);
+                if !flushed {
+                    wal_index.insert(Rc::clone(&e.key), e.version);
+                }
+                !flushed
+            });
+        }
+        self.flushed_at = now;
+        stats::count_wal_checkpoints(1);
     }
 
     /// Appends without consulting the dedupe index. Sound only for appends
@@ -131,8 +262,23 @@ impl ReplicaState {
     /// (queues) log the commit before the delivery applies and must go
     /// through [`ReplicaState::wal_append`].
     pub(crate) fn wal_append_fresh(&mut self, entry: WalEntry) {
-        let framed = self.wal.append(entry);
-        stats::count_wal_append(framed as u64);
+        self.checkpoint_if_due(entry.visible_at, true);
+        self.log(entry);
+    }
+
+    /// Whether `key` is visible here at `version` or newer: the table holds
+    /// it, or the version was collected (then every replica applied it).
+    pub(crate) fn holds(&self, key: &str, version: u64) -> bool {
+        version < self.collected_below || self.data.get(key).is_some_and(|r| r.version >= version)
+    }
+
+    /// Rebuilds the applied prefix after a restart, from the collected
+    /// watermark and the records the table ended up with.
+    pub(crate) fn rebuild_applied(&mut self, unassigned: u64) {
+        self.applied = AppliedPrefix::starting_at(self.collected_below);
+        for record in self.data.values() {
+            self.applied.mark(record.version, unassigned);
+        }
     }
 
     /// Rebuilds the dedupe index from an authoritative record set — called
@@ -152,6 +298,15 @@ impl ReplicaState {
             }
         }
     }
+}
+
+/// The minimum of the replicas' applied prefixes.
+fn min_applied_prefix(replicas: &BTreeMap<Region, ReplicaState>) -> u64 {
+    replicas
+        .values()
+        .map(|state| state.applied.below())
+        .min()
+        .unwrap_or(0)
 }
 
 pub(crate) struct EngineInner<S: Substrate> {
@@ -511,8 +666,18 @@ impl<S: Substrate> Engine<S> {
                 self.inner.apply_outcomes.replace(outcomes);
                 return;
             };
+            let unassigned = self.inner.next_version.get();
             for item in items.iter() {
                 self.note_key_access(region, &item.key);
+                if item.version < state.collected_below {
+                    // Delivered at every replica long ago and dropped: a
+                    // late hint flush or back-fill must not deliver it
+                    // again. Nobody can be parked on it either — the
+                    // collection woke them.
+                    outcomes.push((false, item.version));
+                    continue;
+                }
+                state.applied.mark(item.version, unassigned);
                 // One tree walk per record: the entry resolves superseded-vs-
                 // fresh, performs the insert, and yields the watermark.
                 let (newly_inserted, watermark) = match state.data.entry(Rc::clone(&item.key)) {
@@ -556,6 +721,14 @@ impl<S: Substrate> Engine<S> {
                 state.waiters.wake_satisfied(&item.key, watermark);
                 outcomes.push((newly_inserted, watermark));
             }
+            if self.inner.substrate.reclaims_delivered() {
+                // Versions start at 1, so the batches are whole intervals.
+                let collected = state.collected_below.max(1);
+                let frontier = min_applied_prefix(&replicas);
+                if frontier >= collected + CHECKPOINT_INTERVAL as u64 {
+                    self.collect_delivered(&mut replicas, collected, frontier);
+                }
+            }
         }
         let probe = self.inner.probe.borrow().clone();
         stats::count_applies(items.len() as u64);
@@ -577,6 +750,45 @@ impl<S: Substrate> Engine<S> {
         self.inner.apply_outcomes.replace(outcomes);
     }
 
+    /// Drops the records of versions `from..frontier` at every replica: each
+    /// was applied everywhere, so no hint, back-fill or replay will ask for
+    /// it again, and whoever consumes deliveries holds its own clone (see
+    /// [`Substrate::reclaims_delivered`]). From here on the replicas answer
+    /// for these versions from `collected_below`. A waiter parked on one —
+    /// resubscribed at a replica that lost the record in a crash — is woken:
+    /// no apply will come for it.
+    fn collect_delivered(
+        &self,
+        replicas: &mut BTreeMap<Region, ReplicaState>,
+        from: u64,
+        frontier: u64,
+    ) {
+        let mut dropped = 0;
+        for version in from..frontier {
+            let key = self.inner.substrate.derived_key(version);
+            for (&region, state) in replicas.iter_mut() {
+                self.note_key_access(region, &key);
+                dropped += u64::from(state.data.remove(key.as_str()).is_some());
+                state.waiters.wake_satisfied(&key, version);
+            }
+        }
+        for state in replicas.values_mut() {
+            state.collected_below = frontier;
+        }
+        stats::count_queue_records_collected(dropped);
+    }
+
+    /// The first version not yet applied at every replica: everything below
+    /// it is visible everywhere. A replica that is crashed, partitioned
+    /// away, stalled or restarted without part of its log has not applied
+    /// what it misses, so it holds the frontier back until hints or
+    /// anti-entropy bring it up. For the KV family after a crash the
+    /// frontier is conservative for good: a version that only ever arrived
+    /// superseded left no record to rebuild its mark from.
+    pub(crate) fn stable_frontier(&self) -> u64 {
+        min_applied_prefix(&self.inner.replicas.borrow())
+    }
+
     /// Zero-latency read of one replica record.
     pub(crate) fn record(&self, region: Region, key: &str) -> Option<Record> {
         self.note_key_access(region, key);
@@ -591,9 +803,12 @@ impl<S: Substrate> Engine<S> {
 
     /// Whether `key` has reached at least `version` at `region`.
     pub(crate) fn is_visible(&self, region: Region, key: &str, version: u64) -> bool {
-        self.record(region, key)
-            .map(|v| v.version >= version)
-            .unwrap_or(false)
+        self.note_key_access(region, key);
+        self.inner
+            .replicas
+            .borrow()
+            .get(&region)
+            .is_some_and(|state| state.holds(key, version))
     }
 
     /// Resolves once `key` reaches at least `version` at `region`,
@@ -621,11 +836,13 @@ impl<S: Substrate> Engine<S> {
                 let state = replicas
                     .get_mut(&region)
                     .ok_or(StoreError::NoSuchRegion(region))?;
+                if state.holds(key, version) {
+                    return Ok(());
+                }
                 // A key the replica already holds (at an older version) is
                 // parked under its interned `Rc<str>`: a refcount bump, not
                 // a string copy per subscription.
                 let key: Rc<str> = match state.data.get_key_value(key) {
-                    Some((_, v)) if v.version >= version => return Ok(()),
                     Some((interned, _)) => Rc::clone(interned),
                     None => Rc::from(key),
                 };
@@ -660,7 +877,8 @@ impl<S: Substrate> Engine<S> {
             .unwrap_or(0)
     }
 
-    /// Number of write-ahead-log entries at a replica (diagnostics).
+    /// Logical length of a replica's write-ahead log: records appended and
+    /// not lost to damage, checkpointed or not (diagnostics).
     pub(crate) fn wal_len(&self, region: Region) -> usize {
         self.inner
             .replicas
@@ -670,7 +888,27 @@ impl<S: Substrate> Engine<S> {
             .unwrap_or(0)
     }
 
-    /// Total framed bytes in a replica's write-ahead log (diagnostics).
+    /// Records still in a replica's write-ahead log — what a restart would
+    /// replay (diagnostics).
+    pub(crate) fn wal_resident_len(&self, region: Region) -> usize {
+        self.inner
+            .replicas
+            .borrow()
+            .get(&region)
+            .map(|s| s.wal.resident_len())
+            .unwrap_or(0)
+    }
+
+    /// Overwrites a replica's resident log with `image`; see
+    /// [`WalLog::overwrite`].
+    pub(crate) fn corrupt_wal(&self, region: Region, image: &[u8]) {
+        if let Some(state) = self.inner.replicas.borrow_mut().get_mut(&region) {
+            state.wal.overwrite(image);
+        }
+    }
+
+    /// Framed bytes of the resident part of a replica's write-ahead log
+    /// (diagnostics).
     pub(crate) fn wal_byte_len(&self, region: Region) -> usize {
         self.inner
             .replicas

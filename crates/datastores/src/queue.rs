@@ -213,7 +213,7 @@ impl QueueStore {
             let rs = pubsub
                 .get_mut(&region)
                 .ok_or(StoreError::NoSuchRegion(region))?;
-            rs.acked.insert(id);
+            rs.note_acked(id);
             // Wake in subscription order: wake order is the order the
             // woken tasks reach the ready queue, so it is part of the trace.
             for w in rs.ack_waiters.extract_if(.., |w| w.id == id) {
@@ -251,8 +251,7 @@ impl QueueStore {
             .pubsub
             .borrow()
             .get(&region)
-            .map(|s| s.acked.contains(&id))
-            .unwrap_or(false)
+            .is_some_and(|s| s.is_acked(id))
     }
 
     /// Resolves once message `id` is acknowledged in `region`.
@@ -264,7 +263,7 @@ impl QueueStore {
                 let rs = pubsub
                     .get_mut(&region)
                     .ok_or(StoreError::NoSuchRegion(region))?;
-                if rs.acked.contains(&id) {
+                if rs.is_acked(id) {
                     return Ok(());
                 }
                 let (tx, rx) = oneshot();
@@ -290,9 +289,24 @@ impl QueueStore {
         self.engine.substrate().visibility_timeout.set(t);
     }
 
-    /// Number of write-ahead-log entries at a broker replica (diagnostics).
+    /// Logical length of a broker replica's write-ahead log: every record
+    /// appended and not lost to damage, checkpointed or still resident
+    /// (diagnostics).
     pub fn wal_len(&self, region: Region) -> usize {
         self.engine.wal_len(region)
+    }
+
+    /// Records still in a broker replica's write-ahead log: the part of
+    /// [`QueueStore::wal_len`] no checkpoint has dropped yet (diagnostics).
+    pub fn wal_resident_len(&self, region: Region) -> usize {
+        self.engine.wal_resident_len(region)
+    }
+
+    /// The first message id not yet delivered at every broker replica. Ids
+    /// below it answer `is_visible` everywhere, and their broker records
+    /// are reclaimed (diagnostics).
+    pub fn stable_frontier(&self) -> u64 {
+        self.engine.stable_frontier()
     }
 
     /// Number of pending visibility waiters at a broker replica
@@ -666,6 +680,27 @@ mod tests {
             assert_eq!((m1.id, m2.id), (id1, id2));
             assert!(consumer.try_take().is_none());
         });
+    }
+
+    #[test]
+    fn acks_fold_into_a_watermark_and_keep_only_out_of_order_ids() {
+        let (_sim, q) = setup();
+        for id in [2, 3, 5] {
+            q.ack(US, id).unwrap();
+        }
+        let state = |q: &QueueStore| {
+            let pubsub = q.engine.substrate().pubsub.borrow();
+            (pubsub[&US].acked_below, pubsub[&US].acked.len())
+        };
+        assert_eq!(state(&q), (1, 3), "id 1 is missing: nothing folds");
+        q.ack(US, 1).unwrap();
+        assert_eq!(state(&q), (4, 1), "1..=3 folded, 5 waits for 4");
+        q.ack(US, 2).unwrap(); // below the watermark: a no-op
+        assert_eq!(state(&q), (4, 1));
+        for id in [1, 2, 3, 5] {
+            assert!(q.is_acked(US, id));
+        }
+        assert!(!q.is_acked(US, 4) && !q.is_acked(EU, 1));
     }
 
     #[test]

@@ -230,17 +230,22 @@ impl<S: Substrate> Engine<S> {
         }
     }
 
-    /// Crash entry: volatile state dies with the process. The memtable is
-    /// wiped (the WAL, being durable, survives), pending visibility waiters
-    /// are cancelled, hints queued at this origin are lost, and the epoch
-    /// bump aborts in-flight sends this replica originated.
+    /// Crash entry: volatile state dies with the process. The table loses
+    /// every record the last checkpoint did not flush (all of them, before
+    /// the first checkpoint); the resident WAL, being durable, survives.
+    /// Pending visibility waiters are cancelled, hints queued at this
+    /// origin are lost, and the epoch bump aborts in-flight sends this
+    /// replica originated.
     fn crash_replica(&self, region: Region) {
         let cancelled = {
             let mut replicas = self.inner.replicas.borrow_mut();
             let Some(state) = replicas.get_mut(&region) else {
                 return;
             };
-            state.data.clear();
+            let flushed_at = state.flushed_at;
+            state
+                .data
+                .retain(|_, record| record.visible_at < flushed_at);
             state.epoch += 1;
             state.waiters.drain_all()
         };
@@ -253,10 +258,12 @@ impl<S: Substrate> Engine<S> {
         self.inner.hints.borrow_mut().retain(|h| h.origin != region);
     }
 
-    /// Restart at the heal edge: *verify* the write-ahead log and
-    /// deterministically replay its verified prefix into the fresh memtable
-    /// (a no-op fold when the WAL is disabled — the replica restarts empty
-    /// and waits for anti-entropy repair).
+    /// Restart at the heal edge: *verify* the resident write-ahead log and
+    /// deterministically replay its verified prefix over the table the
+    /// last checkpoint flushed (an empty table before the first one; a
+    /// no-op fold when the WAL is disabled — the replica restarts empty and
+    /// waits for anti-entropy repair). Damage can only sit in resident
+    /// bytes, and is handled as it always was.
     ///
     /// Verification gives the replay an integrity policy:
     /// - a torn tail frame ([`WalFaultKind::TornFrame`]) is an interrupted
@@ -281,8 +288,13 @@ impl<S: Substrate> Engine<S> {
     /// during the crash window, and for a publish that was durably logged
     /// but never delivered (its in-flight sends died with the origin), the
     /// replayed record is the only apply they will ever see.
+    ///
+    /// The applied prefix is rebuilt from the records the restart ends up
+    /// with, over the collected watermark: whatever the crash lost is a gap
+    /// again, and holds the stable frontier until it is back-filled.
     fn restart_replica(&self, region: Region) {
         let verify = self.inner.recovery.get().verify_checksums;
+        let unassigned = self.inner.next_version.get();
         let (woken, tainted) = {
             let mut replicas = self.inner.replicas.borrow_mut();
             let Some(state) = replicas.get_mut(&region) else {
@@ -298,12 +310,7 @@ impl<S: Substrate> Engine<S> {
             }
             state.rebuild_wal_index(scan.entries.iter());
             for entry in &scan.entries {
-                let newer_exists = state
-                    .data
-                    .get(&entry.key)
-                    .map(|v| v.version >= entry.version)
-                    .unwrap_or(false);
-                if !newer_exists {
+                if !state.holds(&entry.key, entry.version) {
                     state.data.insert(
                         Rc::clone(&entry.key),
                         Record {
@@ -315,6 +322,7 @@ impl<S: Substrate> Engine<S> {
                     );
                 }
             }
+            state.rebuild_applied(unassigned);
             if tainted {
                 // Quarantine sticks until the repair plane rejoins the
                 // replica — a clean-looking log after truncation must not

@@ -148,14 +148,30 @@ impl KvStore {
         self.engine.pending_sends()
     }
 
-    /// Number of write-ahead-log entries at a replica (diagnostics).
+    /// Logical length of a replica's write-ahead log: every record appended
+    /// and not lost to damage, checkpointed or still resident (diagnostics).
     pub fn wal_len(&self, region: Region) -> usize {
         self.engine.wal_len(region)
     }
 
-    /// Total framed bytes in a replica's write-ahead log (diagnostics).
+    /// Records still in a replica's write-ahead log: the part of
+    /// [`KvStore::wal_len`] no checkpoint has dropped yet (diagnostics).
+    pub fn wal_resident_len(&self, region: Region) -> usize {
+        self.engine.wal_resident_len(region)
+    }
+
+    /// Framed bytes of the resident part of a replica's write-ahead log
+    /// (diagnostics).
     pub fn wal_byte_len(&self, region: Region) -> usize {
         self.engine.wal_byte_len(region)
+    }
+
+    /// Fuzzing hook: overwrites a replica's resident log with arbitrary
+    /// bytes, as no scheduled disk fault can; the next crash-restart or
+    /// scrub reads them back. See [`crate::wal::WalLog::overwrite`].
+    #[doc(hidden)]
+    pub fn corrupt_wal(&self, region: Region, image: &[u8]) {
+        self.engine.corrupt_wal(region, image);
     }
 
     /// Integrity standing of a replica: `Healthy`, or `Tainted` when WAL
@@ -278,6 +294,13 @@ impl KvStore {
     /// Number of queued hinted-handoff entries (diagnostics).
     pub fn pending_hints(&self) -> usize {
         self.engine.pending_hints()
+    }
+
+    /// The first version not yet applied at every replica: every write
+    /// below it is visible everywhere. A gauge — KV records are state, so
+    /// nothing is reclaimed behind it (diagnostics).
+    pub fn stable_frontier(&self) -> u64 {
+        self.engine.stable_frontier()
     }
 
     /// Whether every replica holds an identical key→version map; see

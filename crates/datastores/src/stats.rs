@@ -25,6 +25,14 @@ antipode_lineage::counters! {
         sum wal_appends => count_wal_appends,
         /// Bytes logged across those appends (key + value + fixed entry header).
         sum wal_bytes => count_wal_bytes,
+        /// WAL checkpoints: a replica flushed its table and dropped the
+        /// log records the table now vouches for (see [`crate::wal`]).
+        sum wal_checkpoints => count_wal_checkpoints,
+        /// Most records any one replica's WAL held at once.
+        max wal_resident_records_peak => note_wal_resident,
+        /// Broker records dropped because every replica had delivered them
+        /// (summed over replicas).
+        sum queue_records_collected => count_queue_records_collected,
         /// Batch deliveries (apply batches handed to a replica in one event).
         sum batch_flushes => count_batch_flushes,
         /// Largest apply batch observed.
@@ -69,6 +77,10 @@ mod tests {
         count_send_entries(3);
         count_applies(1);
         count_wal_append(40);
+        count_wal_checkpoints(1);
+        note_wal_resident(7);
+        note_wal_resident(3);
+        count_queue_records_collected(2);
         count_batch_flush(3);
         count_batch_flush(1);
         count_scrub_records(5);
@@ -82,6 +94,9 @@ mod tests {
         assert_eq!(s.applies, 1);
         assert_eq!(s.wal_appends, 1);
         assert_eq!(s.wal_bytes, 40);
+        assert_eq!(s.wal_checkpoints, 1);
+        assert_eq!(s.wal_resident_records_peak, 7);
+        assert_eq!(s.queue_records_collected, 2);
         assert_eq!(s.batch_flushes, 2);
         assert_eq!(s.max_batch, 3);
         assert_eq!(s.scrub_records, 5);

@@ -169,6 +169,15 @@ pub trait Substrate: 'static {
         format!("msg-{version}")
     }
 
+    /// Whether a record is garbage once every replica has applied it. True
+    /// for a family whose keys are its versions ([`Substrate::derived_key`])
+    /// and whose consumers take their own copy at delivery: the engine then
+    /// drops records below the stable frontier and answers for them from a
+    /// watermark. False where records are state to be read back (KV).
+    fn reclaims_delivered(&self) -> bool {
+        false
+    }
+
     /// Whether an operation against `region` is gated by the fault plan.
     fn op_blocked(&self, faults: &FaultPlan, at: SimTime, store: &str, region: Region) -> bool;
 
@@ -320,8 +329,10 @@ pub(crate) struct GroupState {
 /// the engine's replicated record of which messages have been delivered.
 /// Acks and group membership model durable broker metadata, so they survive
 /// crash-restart windows (the engine only wipes replica memtables).
-#[derive(Default)]
 pub(crate) struct QueuePubSub {
+    /// Every id below this is acked (ids start at 1).
+    pub(crate) acked_below: u64,
+    /// Acked ids at or above `acked_below`: the out-of-order ones only.
     pub(crate) acked: BTreeSet<u64>,
     pub(crate) subscribers: Vec<Sender<QueueMessage>>,
     pub(crate) ack_waiters: Vec<AckWaiter>,
@@ -329,6 +340,35 @@ pub(crate) struct QueuePubSub {
     // so the order must be deterministic: a hash map here leaks iteration
     // order into consumer wake-up order.
     pub(crate) groups: BTreeMap<String, GroupState>,
+}
+
+impl Default for QueuePubSub {
+    fn default() -> Self {
+        QueuePubSub {
+            acked_below: 1,
+            acked: BTreeSet::new(),
+            subscribers: Vec::new(),
+            ack_waiters: Vec::new(),
+            groups: BTreeMap::new(),
+        }
+    }
+}
+
+impl QueuePubSub {
+    pub(crate) fn is_acked(&self, id: u64) -> bool {
+        id < self.acked_below || self.acked.contains(&id)
+    }
+
+    /// Records the ack and folds the contiguous run it completes into the
+    /// watermark, so the set holds only acks that arrived out of order.
+    pub(crate) fn note_acked(&mut self, id: u64) {
+        if id >= self.acked_below {
+            self.acked.insert(id);
+            while self.acked.remove(&self.acked_below) {
+                self.acked_below += 1;
+            }
+        }
+    }
 }
 
 /// The delivery/ack family: blocking admission, lag paid once per send,
@@ -376,6 +416,13 @@ impl Substrate for QueueSubstrate {
 
     fn origin_applies_at_commit(&self) -> bool {
         false
+    }
+
+    fn reclaims_delivered(&self) -> bool {
+        // Subscribers, consumer groups and redelivery timers each hold their
+        // own `QueueMessage` clone; the broker record only answers "was it
+        // delivered here", which the watermark answers as well.
+        true
     }
 
     fn op_blocked(&self, faults: &FaultPlan, at: SimTime, store: &str, region: Region) -> bool {

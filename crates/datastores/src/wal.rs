@@ -34,6 +34,12 @@
 //! Either way the scan stops at that record's offset — corruption is
 //! contained, never decoded past.
 //!
+//! The log does not grow without bound: every [`CHECKPOINT_INTERVAL`]
+//! appends the replica flushes ([`WalLog::checkpoint`]) — what the table
+//! itself now holds durably is dropped from the log, staged entries without
+//! ever being framed. [`WalLog::len`] keeps counting the dropped records;
+//! [`WalLog::resident_len`] is what is still here to replay.
+//!
 //! The unverified scan mode exists only for the checksum-disabled ablation
 //! ([`crate::recovery::RecoveryConfig::verify_checksums`]): it trusts the
 //! declared lengths, decodes whatever the bytes say, and therefore replays
@@ -54,6 +60,18 @@ pub const FRAME_HEADER: usize = 8;
 /// Fixed body overhead beyond key and value bytes: key length (4), version
 /// (8), value length (4), `visible_at` (8), `committed_at` (8).
 pub const BODY_FIXED: usize = 32;
+
+/// Appends between two checkpoints of one replica's log, and the batch in
+/// which a broker drops messages every replica has delivered
+/// ([`crate::engine`]): one reclamation grain for the whole store.
+///
+/// A resident log is at most this many 80-byte staged handles plus the few
+/// a checkpoint had to keep — 80 KiB per replica whatever the run length,
+/// against 80 B per append without it — and the checkpoint's one pass over
+/// them is a constant per append. It is also far above what any unit test,
+/// property storm or model-checking cell appends to one replica, so below
+/// it the program is step for step the one without checkpoints.
+pub const CHECKPOINT_INTERVAL: usize = 1024;
 
 /// How a WAL frame failed verification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,6 +104,10 @@ pub struct WalScan {
     /// Byte length of the verified prefix: truncating the log here removes
     /// the fault and everything after it.
     pub verified_len: usize,
+    /// Byte offset of the last verified frame's header (0 when `entries` is
+    /// empty) — where the tail frame starts once the log is truncated to
+    /// `verified_len`.
+    pub last_frame: usize,
     /// The first bad frame, if any.
     pub fault: Option<WalFault>,
 }
@@ -108,12 +130,28 @@ pub struct WalScan {
 /// unobservable because the framed bytes are a pure function of the entry
 /// sequence — every observer seals first, so corruption always lands on
 /// (and is checked against) fully sealed frames.
+///
+/// # Checkpoints
+///
+/// [`WalLog::checkpoint`] drops every resident record the caller no longer
+/// needs replayed — sealed bytes and staged entries alike; a staged entry
+/// goes without ever having been framed. Disk damage inside the dropped
+/// part goes with it: nothing will read those bytes again. The records
+/// stay counted in [`WalLog::len`], the log's logical length.
 #[derive(Debug, Default)]
 pub struct WalLog {
     bytes: Vec<u8>,
+    /// Logical length: complete records appended and lost neither to a torn
+    /// tail nor to a truncation, whether resident or checkpointed.
     records: usize,
-    /// Byte offset of the most recent frame — where a torn tail write cuts.
-    last_frame: usize,
+    /// How many of `records` a checkpoint dropped.
+    checkpointed: usize,
+    /// Appends since the last checkpoint; see [`WalLog::checkpoint_due`].
+    appended_since: usize,
+    /// Byte offset of the tail frame while the sealed bytes end in a
+    /// complete one — what a torn tail write cuts. `None` when they are
+    /// empty or already end in a torn frame.
+    last_frame: Option<usize>,
     /// Appended but not yet sealed entries (the group-commit flush buffer).
     pending: Vec<WalEntry>,
     /// Framed byte length the pending entries will occupy once sealed,
@@ -122,18 +160,26 @@ pub struct WalLog {
 }
 
 impl WalLog {
-    /// Number of complete records appended (and not torn off).
+    /// Number of complete records appended (and not torn off), including
+    /// the ones a checkpoint has since dropped.
     pub fn len(&self) -> usize {
         self.records
     }
 
-    /// Whether the log holds no complete records.
+    /// Whether no complete record was ever appended (or all were torn off).
     pub fn is_empty(&self) -> bool {
         self.records == 0
     }
 
-    /// Total bytes occupied by the log, including any torn partial frame
-    /// and the not-yet-sealed tail. O(1) and independent of sealing state.
+    /// Number of complete records still in the log: what a restart replays
+    /// and what the replica pays memory for.
+    pub fn resident_len(&self) -> usize {
+        self.records - self.checkpointed
+    }
+
+    /// Total bytes occupied by the resident log, including any torn partial
+    /// frame and the not-yet-sealed tail. O(1) and independent of sealing
+    /// state.
     pub fn byte_len(&self) -> usize {
         self.bytes.len() + self.pending_bytes
     }
@@ -152,11 +198,38 @@ impl WalLog {
     /// note on deferred sealing — so this is O(1) on the commit path: a
     /// move into the staging buffer, no byte copies.
     pub fn append(&mut self, entry: WalEntry) -> usize {
-        let framed = FRAME_HEADER + entry.key.len() + entry.bytes.len() + BODY_FIXED;
+        let framed = framed_len(&entry);
         self.pending.push(entry);
         self.pending_bytes += framed;
         self.records += 1;
+        self.appended_since += 1;
         framed
+    }
+
+    /// Whether a full [`CHECKPOINT_INTERVAL`] of appends has gone by since
+    /// the last checkpoint. Counting appends, not resident records, keeps
+    /// the cadence fixed when a checkpoint has to keep many records.
+    pub fn checkpoint_due(&self) -> bool {
+        self.appended_since >= CHECKPOINT_INTERVAL
+    }
+
+    /// Drops every resident record for which `keep` is false — the caller
+    /// holds those durably elsewhere (see [`crate::engine`]) — and keeps
+    /// the rest, in order, as the staged tail. Sealed bytes are decoded
+    /// through the verified scan first: a damaged frame ends it, and what
+    /// lies past the damage is dropped with the rest, exactly what a
+    /// restart scan of the same bytes would have given up on.
+    pub fn checkpoint(&mut self, mut keep: impl FnMut(&WalEntry) -> bool) {
+        let resident = self.resident_len();
+        let mut sealed = scan_frames(&self.bytes, true).entries;
+        sealed.retain(&mut keep);
+        self.pending.retain(&mut keep);
+        self.pending.splice(0..0, sealed);
+        self.bytes.clear();
+        self.last_frame = None;
+        self.pending_bytes = self.pending.iter().map(framed_len).sum();
+        self.checkpointed += resident - self.pending.len();
+        self.appended_since = 0;
     }
 
     /// Materializes every pending append as a sealed frame: the flush path
@@ -170,7 +243,7 @@ impl WalLog {
         self.bytes.reserve(self.pending_bytes);
         for entry in std::mem::take(&mut self.pending) {
             let body_len = entry.key.len() + entry.bytes.len() + BODY_FIXED;
-            self.last_frame = self.bytes.len();
+            self.last_frame = Some(self.bytes.len());
             self.bytes
                 .extend_from_slice(&(body_len as u32).to_le_bytes());
             // Checksum placeholder, patched once the body is in place.
@@ -207,8 +280,8 @@ impl WalLog {
     pub fn truncate_to(&mut self, scan: &WalScan) {
         self.seal();
         self.bytes.truncate(scan.verified_len);
-        self.records = scan.entries.len();
-        self.last_frame = self.bytes.len();
+        self.records = self.checkpointed + scan.entries.len();
+        self.last_frame = (!scan.entries.is_empty()).then_some(scan.last_frame);
     }
 
     /// Discards the log and re-frames `entries` from scratch — the
@@ -217,7 +290,8 @@ impl WalLog {
     pub fn rebuild<'a>(&mut self, entries: impl Iterator<Item = &'a WalEntry>) -> u64 {
         self.bytes.clear();
         self.records = 0;
-        self.last_frame = 0;
+        self.checkpointed = 0;
+        self.last_frame = None;
         self.pending.clear();
         self.pending_bytes = 0;
         let mut bytes = 0u64;
@@ -230,16 +304,29 @@ impl WalLog {
     /// Fault injection ([`antipode_sim::fault::DiskFaultKind::TornWrite`]):
     /// cuts the tail frame roughly in half, as if the process lost power
     /// with the final `write(2)` half-applied. Returns the torn frame's
-    /// offset, or `None` on an empty log.
+    /// offset, or `None` when there is no complete tail frame to cut (an
+    /// empty log, or a tail that is already torn) — then nothing changes.
     pub fn tear_tail(&mut self) -> Option<usize> {
         self.seal();
-        if self.bytes.is_empty() {
-            return None;
-        }
-        let frame_len = self.bytes.len() - self.last_frame;
-        self.bytes.truncate(self.last_frame + frame_len / 2);
-        self.records = self.records.saturating_sub(1);
-        Some(self.last_frame)
+        let at = self.last_frame.take()?;
+        let frame_len = self.bytes.len() - at;
+        self.bytes.truncate(at + frame_len / 2);
+        self.records -= 1;
+        Some(at)
+    }
+
+    /// Fault injection without a plan behind it: replaces the resident log
+    /// with `image`, whatever it holds — the arbitrary-damage injector of the
+    /// never-panics harness (`tests/decoder_fuzz.rs`). Checkpointed records
+    /// stay counted.
+    pub fn overwrite(&mut self, image: &[u8]) {
+        self.pending.clear();
+        self.pending_bytes = 0;
+        self.bytes = image.to_vec();
+        let scan = scan_frames(&self.bytes, true);
+        self.records = self.checkpointed + scan.entries.len();
+        self.last_frame =
+            (scan.fault.is_none() && !scan.entries.is_empty()).then_some(scan.last_frame);
     }
 
     /// Fault injection ([`antipode_sim::fault::DiskFaultKind::BitFlip`]):
@@ -287,7 +374,10 @@ pub fn scan_frames(bytes: &[u8], verify: bool) -> WalScan {
             break;
         }
         match decode_body(body) {
-            Some(entry) => scan.entries.push(entry),
+            Some(entry) => {
+                scan.entries.push(entry);
+                scan.last_frame = at;
+            }
             None => {
                 // Structurally undecodable body. With verification on this
                 // is unreachable for frames this module wrote; without it, a
@@ -302,6 +392,11 @@ pub fn scan_frames(bytes: &[u8], verify: bool) -> WalScan {
     }
     scan.verified_len = at;
     scan
+}
+
+/// The framed byte length of one record.
+fn framed_len(entry: &WalEntry) -> usize {
+    FRAME_HEADER + entry.key.len() + entry.bytes.len() + BODY_FIXED
 }
 
 /// Decodes one frame body; `None` when its internal lengths disagree with
@@ -433,6 +528,75 @@ mod tests {
         assert!(healed.fault.is_none());
         assert_eq!(healed.entries.len(), 2);
         assert_eq!(healed.entries[1].key, before_tear.entries[1].key);
+    }
+
+    #[test]
+    fn a_tear_decrements_only_when_it_cut_a_complete_frame() {
+        // Regression: after a truncation `last_frame` used to sit at the end
+        // of the log, so the next tear cut nothing and still counted one
+        // record off; a second tear on a torn tail did the same.
+        let mut log = sample_log();
+        log.tear_tail().unwrap();
+        assert_eq!(log.tear_tail(), None, "the tail is already torn");
+        assert_eq!(log.len(), 2);
+        let scan = log.scan(true);
+        log.truncate_to(&scan);
+        assert_eq!(log.len(), 2);
+        let torn_at = log.tear_tail().expect("a complete frame is the tail again");
+        assert_eq!(torn_at, scan.last_frame);
+        assert_eq!(log.len(), log.scan(true).entries.len());
+        assert_eq!(log.len(), 1);
+        assert_eq!(WalLog::default().tear_tail(), None);
+    }
+
+    #[test]
+    fn a_checkpoint_drops_sealed_and_staged_records_but_keeps_counting_them() {
+        let mut log = sample_log(); // three sealed records…
+        log.append(entry("gamma", 4, b"staged")); // …and one staged
+        assert!(!log.checkpoint_due());
+        log.checkpoint(|e| e.version % 2 == 0);
+        assert!(
+            log.bytes.is_empty(),
+            "kept records are staged, not re-framed"
+        );
+        assert_eq!((log.len(), log.resident_len()), (4, 2));
+        assert_eq!(log.byte_len(), log.pending_bytes);
+        let scan = log.scan(true);
+        assert!(scan.fault.is_none());
+        let versions: Vec<u64> = scan.entries.iter().map(|e| e.version).collect();
+        assert_eq!(versions, [2, 4], "survivors keep their order");
+        // A later truncation counts from the checkpoint, not from zero.
+        log.tear_tail().unwrap();
+        let scan = log.scan(true);
+        log.truncate_to(&scan);
+        assert_eq!((log.len(), log.resident_len()), (3, 1));
+    }
+
+    #[test]
+    fn a_checkpoint_is_due_every_interval_of_appends() {
+        let mut log = WalLog::default();
+        for v in 0..CHECKPOINT_INTERVAL as u64 {
+            assert!(!log.checkpoint_due());
+            log.append(entry("k", v, b""));
+        }
+        assert!(log.checkpoint_due());
+        // Keeping everything does not make the next append due again.
+        log.checkpoint(|_| true);
+        assert!(!log.checkpoint_due());
+        assert_eq!(log.resident_len(), CHECKPOINT_INTERVAL);
+    }
+
+    #[test]
+    fn damage_in_a_checkpointed_prefix_goes_with_it() {
+        let mut log = sample_log();
+        log.flip_byte(7);
+        assert!(log.scan(true).fault.is_some());
+        log.checkpoint(|_| false);
+        log.append(entry("delta", 5, b"fresh"));
+        let scan = log.scan(true);
+        assert!(scan.fault.is_none(), "the rotted bytes are gone");
+        assert_eq!(scan.entries.len(), 1);
+        assert_eq!((log.len(), log.resident_len()), (4, 1));
     }
 
     #[test]

@@ -1,10 +1,20 @@
 //! One never-panics harness for the decoders that accept bytes from outside
-//! the process (ROADMAP 4d): the baggage header text a peer sends and the
-//! lineage wire payload. Whatever the input — noise, or a valid encoding
+//! the process (ROADMAP 4d): the baggage header text a peer sends, the
+//! lineage wire payload, and the write-ahead log a replica reads back off
+//! its disk at restart. Whatever the input — noise, or a valid encoding
 //! with a byte flipped, a tail cut off or garbage spliced in — each decoder
 //! must return, and whatever it accepts must render again.
 
+use std::rc::Rc;
+
 use antipode_lineage::{Baggage, Lineage, LineageId, WriteId, LINEAGE_KEY};
+use antipode_sim::dist::Dist;
+use antipode_sim::net::regions::{EU, US};
+use antipode_sim::{FaultKind, Network, Sim, SimTime};
+use antipode_store::replica::{KvProfile, KvStore};
+use antipode_store::wal::CHECKPOINT_INTERVAL;
+use antipode_store::{RecoveryConfig, WalEntry, WalLog};
+use bytes::Bytes;
 use proptest::prelude::*;
 
 /// A decoder under test: its name and a driver that feeds it the bytes.
@@ -27,9 +37,94 @@ const DECODERS: [Decoder; 2] = [
     }),
 ];
 
-/// Feeds `input` to every decoder, naming the one that panicked.
-fn never_panics(input: &[u8]) -> Result<(), TestCaseError> {
-    for (name, decode) in DECODERS {
+/// WAL replay as a decoder: the image becomes the resident log of a live
+/// replica, which then crash-restarts over it (`scan_frames` → the replay
+/// fold) — with checksums verified and, the ablation, trusted; over an
+/// empty table and over the table a checkpoint left behind.
+const WAL_REPLAYS: [Decoder; 4] = [
+    ("WAL replay, verified", |image| {
+        wal_restart(image, true, false)
+    }),
+    ("WAL replay, unverified", |image| {
+        wal_restart(image, false, false)
+    }),
+    ("WAL replay behind a checkpoint, verified", |image| {
+        wal_restart(image, true, true)
+    }),
+    ("WAL replay behind a checkpoint, unverified", |image| {
+        wal_restart(image, false, true)
+    }),
+];
+
+const WAL_KEYS: [&str; 4] = ["k0", "k1", "k2", "k3"];
+
+/// Writes a replica's log (past a checkpoint interval when
+/// `behind_checkpoint`), swaps `image` in for what is resident,
+/// crash-restarts the replica, then uses whatever the replay accepted:
+/// reads, gauges, a scrub, a further write and a repair round.
+fn wal_restart(image: &[u8], verify: bool, behind_checkpoint: bool) {
+    let sim = Sim::new(1);
+    let net = Rc::new(Network::global_triangle());
+    let profile = KvProfile {
+        local_write: Dist::constant_ms(1.0),
+        replication: Dist::constant_ms(20.0),
+        ..KvProfile::default()
+    };
+    let store = KvStore::new(&sim, net, "db", &[US, EU], profile);
+    store.set_recovery(RecoveryConfig {
+        verify_checksums: verify,
+        ..RecoveryConfig::default()
+    });
+    let writes = if behind_checkpoint {
+        CHECKPOINT_INTERVAL + 8
+    } else {
+        8
+    };
+    let s = store.clone();
+    sim.block_on(async move {
+        for i in 0..writes {
+            let key = WAL_KEYS[i % WAL_KEYS.len()];
+            s.put(US, key, Bytes::from(vec![i as u8; 8])).await.unwrap();
+        }
+    });
+    assert_eq!(
+        store.wal_len(US) > store.wal_resident_len(US),
+        behind_checkpoint,
+        "the volume alone decides whether a checkpoint lies behind the image"
+    );
+    store.corrupt_wal(US, image);
+    let crash_at = sim.now() + std::time::Duration::from_millis(1);
+    sim.faults().schedule(
+        crash_at,
+        crash_at + std::time::Duration::from_millis(1),
+        FaultKind::ReplicaCrash {
+            store: "db".into(),
+            region: US,
+        },
+    );
+    sim.run_until(crash_at + std::time::Duration::from_millis(2));
+    for key in WAL_KEYS {
+        let _ = store.get_sync(US, key);
+    }
+    let _ = (
+        store.wal_len(US),
+        store.wal_resident_len(US),
+        store.wal_byte_len(US),
+        store.stable_frontier(),
+        store.scrub_sweep(),
+    );
+    let s = store.clone();
+    sim.block_on(async move {
+        let _ = s.put(US, WAL_KEYS[0], Bytes::from_static(b"after")).await;
+        s.repair_sweep().await;
+    });
+    let _ = store.converged_bytes();
+}
+
+/// Feeds `input` to every decoder of `decoders`, naming the one that
+/// panicked.
+fn never_panics(decoders: &[Decoder], input: &[u8]) -> Result<(), TestCaseError> {
+    for &(name, decode) in decoders {
         let outcome = std::panic::catch_unwind(|| decode(input));
         prop_assert!(outcome.is_ok(), "{name} panicked on {input:?}");
     }
@@ -61,6 +156,43 @@ fn arb_baggage() -> impl Strategy<Value = Baggage> {
         })
 }
 
+/// A well-formed log image over the keys the replica itself writes (so the
+/// replay meets records its table already holds) and any version or instant.
+fn arb_wal_image() -> impl Strategy<Value = Vec<u8>> {
+    let entry = (
+        0usize..WAL_KEYS.len() + 1,
+        prop_oneof![1u64..2_000, any::<u64>()],
+        proptest::collection::vec(any::<u8>(), 0..24),
+        any::<u64>(),
+        any::<u64>(),
+    );
+    proptest::collection::vec(entry, 1..8).prop_map(|entries| {
+        let mut log = WalLog::default();
+        for (key_ix, version, value, visible_ns, committed_ns) in entries {
+            log.append(WalEntry {
+                key: Rc::from(*WAL_KEYS.get(key_ix).unwrap_or(&"stranger")),
+                version,
+                bytes: Bytes::from(value),
+                visible_at: SimTime::from_nanos(visible_ns),
+                committed_at: SimTime::from_nanos(committed_ns),
+            });
+        }
+        log.as_bytes().to_vec()
+    })
+}
+
+/// `valid`, then `valid` with a byte flipped, a tail cut off and garbage
+/// spliced in at `at`.
+fn damaged(valid: &[u8], at: &proptest::sample::Index, xor: u8, splice: &[u8]) -> [Vec<u8>; 4] {
+    let at = at.index(valid.len());
+    let mut flipped = valid.to_vec();
+    flipped[at] ^= xor;
+    let mut spliced = valid[..at].to_vec();
+    spliced.extend_from_slice(splice);
+    spliced.extend_from_slice(&valid[at..]);
+    [valid.to_vec(), flipped, valid[..at].to_vec(), spliced]
+}
+
 /// The valid encodings of one baggage, one per decoder family.
 fn encodings(baggage: &Baggage) -> [Vec<u8>; 2] {
     let lineage = baggage.lineage().expect("arb_baggage sets one");
@@ -74,9 +206,9 @@ proptest! {
         text in "\\PC{0,96}",
         lineage_entry in "[A-Za-z0-9+/=%,]{0,96}",
     ) {
-        never_panics(&bytes)?;
-        never_panics(text.as_bytes())?;
-        never_panics(format!("{LINEAGE_KEY}={lineage_entry}").as_bytes())?;
+        never_panics(&DECODERS, &bytes)?;
+        never_panics(&DECODERS, text.as_bytes())?;
+        never_panics(&DECODERS, format!("{LINEAGE_KEY}={lineage_entry}").as_bytes())?;
     }
 
     #[test]
@@ -87,16 +219,29 @@ proptest! {
         splice in proptest::collection::vec(any::<u8>(), 1..8),
     ) {
         for valid in encodings(&baggage) {
-            never_panics(&valid)?;
-            let at = at.index(valid.len());
-            let mut flipped = valid.clone();
-            flipped[at] ^= xor;
-            never_panics(&flipped)?;
-            never_panics(&valid[..at])?;
-            let mut spliced = valid[..at].to_vec();
-            spliced.extend_from_slice(&splice);
-            spliced.extend_from_slice(&valid[at..]);
-            never_panics(&spliced)?;
+            for input in damaged(&valid, &at, xor, &splice) {
+                never_panics(&DECODERS, &input)?;
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case restarts a dozen freshly written replicas, four of them
+    // past a checkpoint interval of writes: fewer cases than above.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn wal_replay_survives_noise_and_damaged_logs(
+        noise in proptest::collection::vec(any::<u8>(), 0..192),
+        image in arb_wal_image(),
+        at in any::<proptest::sample::Index>(),
+        xor in 1u8..=255,
+        splice in proptest::collection::vec(any::<u8>(), 1..8),
+    ) {
+        never_panics(&WAL_REPLAYS, &noise)?;
+        for input in damaged(&image, &at, xor, &splice) {
+            never_panics(&WAL_REPLAYS, &input)?;
         }
     }
 }
