@@ -30,6 +30,7 @@ use crate::probe::{VisibilityEvent, VisibilityProbe};
 use crate::recovery::{Hint, RecoveryConfig, WalEntry};
 use crate::stats;
 use crate::substrate::{stream_name, Admission, ApplyCtx, StoreError, Substrate};
+use crate::table::{Entry, Table};
 use crate::waiters::WaiterIndex;
 use crate::wal::{WalLog, CHECKPOINT_INTERVAL};
 
@@ -142,7 +143,7 @@ impl AppliedPrefix {
 pub(crate) struct ReplicaState {
     /// The table. Records that became visible before `flushed_at` are
     /// durable in it; the rest are volatile and live on in the WAL.
-    pub(crate) data: BTreeMap<Rc<str>, Record>,
+    pub(crate) data: Table<Record>,
     /// Parked [`Engine::wait_visible`] subscriptions; see [`crate::waiters`]
     /// for the wake-order contract.
     pub(crate) waiters: WaiterIndex,
@@ -156,7 +157,7 @@ pub(crate) struct ReplicaState {
     /// local delivery's apply never double-log one publish. Rebuilt from
     /// the surviving records whenever replay truncates the log, so the
     /// index never vouches for a frame that corruption took.
-    pub(crate) wal_index: BTreeMap<Rc<str>, u64>,
+    pub(crate) wal_index: Table<u64>,
     /// Bumped on every crash; in-flight sends capture the origin epoch and
     /// abort when it moved (the sending process died).
     pub(crate) epoch: u64,
@@ -185,14 +186,14 @@ impl ReplicaState {
     pub(crate) fn wal_append(&mut self, entry: WalEntry) {
         // Before the dedupe: a checkpoint rebuilds the index.
         self.checkpoint_if_due(entry.visible_at, false);
-        match self.wal_index.entry(Rc::clone(&entry.key)) {
-            std::collections::btree_map::Entry::Occupied(mut logged) => {
-                if *logged.get() >= entry.version {
+        match self.wal_index.entry(&entry.key) {
+            Entry::Occupied(logged) => {
+                if *logged >= entry.version {
                     return;
                 }
-                logged.insert(entry.version);
+                *logged = entry.version;
             }
-            std::collections::btree_map::Entry::Vacant(slot) => {
+            Entry::Vacant(slot) => {
                 slot.insert(entry.version);
             }
         }
@@ -258,7 +259,7 @@ impl ReplicaState {
     /// that follow a memtable advancement in a family that never pre-logs
     /// at commit (`origin_applies_at_commit()`): there every logged version
     /// tracks the data version exactly, so the index could never dedupe —
-    /// its tree walk is pure hot-path overhead. Deferred-apply families
+    /// its probe is pure hot-path overhead. Deferred-apply families
     /// (queues) log the commit before the delivery applies and must go
     /// through [`ReplicaState::wal_append`].
     pub(crate) fn wal_append_fresh(&mut self, entry: WalEntry) {
@@ -276,7 +277,7 @@ impl ReplicaState {
     /// watermark and the records the table ended up with.
     pub(crate) fn rebuild_applied(&mut self, unassigned: u64) {
         self.applied = AppliedPrefix::starting_at(self.collected_below);
-        for record in self.data.values() {
+        for (_, record) in self.data.iter() {
             self.applied.mark(record.version, unassigned);
         }
     }
@@ -291,8 +292,8 @@ impl ReplicaState {
         for entry in entries {
             let logged = self
                 .wal_index
-                .entry(Rc::clone(&entry.key))
-                .or_insert(entry.version);
+                .entry(&entry.key)
+                .or_insert_with(|| entry.version);
             if *logged < entry.version {
                 *logged = entry.version;
             }
@@ -678,29 +679,24 @@ impl<S: Substrate> Engine<S> {
                     continue;
                 }
                 state.applied.mark(item.version, unassigned);
-                // One tree walk per record: the entry resolves superseded-vs-
+                // One probe per record: the entry resolves superseded-vs-
                 // fresh, performs the insert, and yields the watermark.
-                let (newly_inserted, watermark) = match state.data.entry(Rc::clone(&item.key)) {
-                    std::collections::btree_map::Entry::Occupied(mut existing) => {
-                        if existing.get().version >= item.version {
-                            (false, existing.get().version)
-                        } else {
-                            existing.insert(Record {
-                                version: item.version,
-                                bytes: item.bytes.clone(),
-                                visible_at: now,
-                                committed_at: item.committed_at,
-                            });
-                            (true, item.version)
-                        }
+                let record = || Record {
+                    version: item.version,
+                    bytes: item.bytes.clone(),
+                    visible_at: now,
+                    committed_at: item.committed_at,
+                };
+                let (newly_inserted, watermark) = match state.data.entry(&item.key) {
+                    Entry::Occupied(existing) if existing.version >= item.version => {
+                        (false, existing.version)
                     }
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(Record {
-                            version: item.version,
-                            bytes: item.bytes.clone(),
-                            visible_at: now,
-                            committed_at: item.committed_at,
-                        });
+                    Entry::Occupied(existing) => {
+                        *existing = record();
+                        (true, item.version)
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(record());
                         (true, item.version)
                     }
                 };

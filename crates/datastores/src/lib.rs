@@ -80,6 +80,7 @@ pub mod sns;
 pub mod speculation;
 pub mod stats;
 pub mod substrate;
+mod table;
 mod waiters;
 pub mod wal;
 

@@ -27,11 +27,11 @@
 //! (so anything the dead durability promised is visibly a new incarnation),
 //! and the WAL is re-framed from the healed memtable.
 //!
-//! The sweep is deterministic: replicas and keys are walked in `BTreeMap`
-//! order, gossip transit is sampled from the store's seeded RNG stream, and
-//! the periodic loop *self-terminates* once the store has converged, no
-//! hints are queued, and the fault plan schedules no further transitions —
-//! so `sim.run()` still quiesces with anti-entropy enabled.
+//! The sweep is deterministic: replicas are walked in region order and keys
+//! in key order, gossip transit is sampled from the store's seeded RNG
+//! stream, and the periodic loop *self-terminates* once the store has
+//! converged, no hints are queued, and the fault plan schedules no further
+//! transitions — so `sim.run()` still quiesces with anti-entropy enabled.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -40,7 +40,7 @@ use std::time::Duration;
 use antipode_sim::{Region, SimTime};
 use bytes::Bytes;
 
-use crate::engine::{Engine, ReplicaHealth};
+use crate::engine::{Engine, Record, ReplicaHealth};
 use crate::recovery::WalEntry;
 use crate::stats;
 use crate::substrate::{StoreError, Substrate};
@@ -98,20 +98,23 @@ impl<S: Substrate> Engine<S> {
     /// dark replicas are compared as-is (a mid-crash replica is empty, so a
     /// store is never "converged" inside a crash window — by design).
     pub(crate) fn converged(&self) -> bool {
+        self.replicas_agree(|a, b| a.version == b.version)
+    }
+
+    /// Whether every replica holds the first replica's keys and no others,
+    /// each with a record `same` as the first's.
+    fn replicas_agree(&self, same: impl Fn(&Record, &Record) -> bool) -> bool {
         let replicas = self.inner.replicas.borrow();
         let mut iter = replicas.values();
         let Some(first) = iter.next() else {
             return true;
         };
-        let reference: Vec<(&Rc<str>, u64)> =
-            first.data.iter().map(|(k, v)| (k, v.version)).collect();
         iter.all(|state| {
-            state.data.len() == reference.len()
-                && state
+            state.data.len() == first.data.len()
+                && first
                     .data
                     .iter()
-                    .zip(reference.iter())
-                    .all(|((k, v), (rk, rv))| k == *rk && v.version == *rv)
+                    .all(|(key, record)| state.data.get(key).is_some_and(|r| same(r, record)))
         })
     }
 
@@ -141,7 +144,7 @@ impl<S: Substrate> Engine<S> {
             .filter(|&r| self.replica_health(r) == ReplicaHealth::Healthy)
             .collect();
         // key → (newest version, bytes, commit time, source replica), in
-        // BTreeMap order. Keys and values are shared `Rc`/`Bytes` handles,
+        // key order. Keys and values are shared `Rc`/`Bytes` handles,
         // so snapshotting the union is refcount bumps, not copies.
         let mut union: Vec<(Rc<str>, u64, Bytes, SimTime, Region)> = Vec::new();
         {
@@ -152,7 +155,7 @@ impl<S: Substrate> Engine<S> {
                 let Some(state) = replicas.get(&r) else {
                     continue;
                 };
-                for (k, v) in &state.data {
+                for (k, v) in state.data.iter() {
                     let stale = newest.get(k).map(|(ver, _, _, _)| *ver < v.version);
                     if stale.unwrap_or(true) {
                         newest.insert(k, (v.version, &v.bytes, v.committed_at, r));
@@ -262,9 +265,13 @@ impl<S: Substrate> Engine<S> {
                 continue;
             }
             state.epoch += 1;
+            // The image's record order is observable (a scan, a replay, a
+            // torn tail all read it front to back): key order, not the
+            // table's row order.
             let entries: Vec<WalEntry> = state
                 .data
-                .iter()
+                .iter_sorted()
+                .into_iter()
                 .map(|(k, r)| WalEntry {
                     key: Rc::clone(k),
                     version: r.version,
@@ -397,21 +404,7 @@ impl<S: Substrate> Engine<S> {
     /// post-storm convergence is not just version agreement but value
     /// agreement.
     pub(crate) fn converged_bytes(&self) -> bool {
-        let replicas = self.inner.replicas.borrow();
-        let mut iter = replicas.values();
-        let Some(first) = iter.next() else {
-            return true;
-        };
-        iter.all(|state| {
-            state.data.len() == first.data.len()
-                && state
-                    .data
-                    .iter()
-                    .zip(first.data.iter())
-                    .all(|((k, v), (rk, rv))| {
-                        k == rk && v.version == rv.version && v.bytes == rv.bytes
-                    })
-        })
+        self.replicas_agree(|a, b| a.version == b.version && a.bytes == b.bytes)
     }
 
     /// Starts the periodic anti-entropy loop. The loop self-terminates when
@@ -660,6 +653,82 @@ mod tests {
             let got = s.get(US, "k1").await.unwrap().unwrap();
             assert_eq!(got.bytes, Bytes::from_static(b"value-one"));
         });
+    }
+
+    #[test]
+    fn rejoin_reframes_the_log_in_key_order_and_a_restart_reproduces_the_table() {
+        use crate::engine::ReplicaHealth;
+        use antipode_sim::fault::DiskFaultKind;
+
+        let (sim, store) = setup(30);
+        // Forty keys written in an order that is neither key order nor, once
+        // some are overwritten and back-filled, any replica's row order.
+        let keys: Vec<String> = (0..40u32)
+            .map(|i| format!("k{:02}", (i * 17) % 40))
+            .collect();
+        let s = store.clone();
+        let ks = keys.clone();
+        sim.block_on(async move {
+            for k in ks.iter().chain(&ks[..7]) {
+                s.put(EU, k, Bytes::from(format!("value of {k}")))
+                    .await
+                    .unwrap();
+            }
+        });
+        sim.run_until(SimTime::from_secs(3));
+        assert!(store.converged_bytes());
+        sim.faults().schedule(
+            SimTime::from_secs(4),
+            SimTime::from_secs(5),
+            FaultKind::DiskFault {
+                store: "db".into(),
+                region: US,
+                fault: DiskFaultKind::BitFlip { offset_seed: 3 },
+            },
+        );
+        sim.faults().schedule(
+            SimTime::from_secs(5),
+            SimTime::from_secs(8),
+            FaultKind::ReplicaCrash {
+                store: "db".into(),
+                region: US,
+            },
+        );
+        sim.run_until(SimTime::from_secs(9));
+        assert_eq!(store.replica_health(US), ReplicaHealth::Tainted);
+        assert!(!store.converged_bytes(), "the rotted suffix did not replay");
+
+        let s = store.clone();
+        let report = sim.block_on(async move { s.repair_sweep().await });
+        assert!(report.backfilled > 0);
+        assert_eq!(report.rejoined, 1);
+        assert!(store.converged_bytes());
+        let logged: Vec<Rc<str>> = {
+            let mut replicas = store.engine.inner.replicas.borrow_mut();
+            let scan = replicas.get_mut(&US).unwrap().wal.scan(true);
+            assert!(scan.fault.is_none());
+            scan.entries.into_iter().map(|e| e.key).collect()
+        };
+        assert_eq!(logged.len(), keys.len(), "one record per key of the table");
+        assert!(
+            logged.windows(2).all(|w| w[0] < w[1]),
+            "the re-framed log is in key order: {logged:?}"
+        );
+
+        // The proof that the image is the table: wipe the table and replay.
+        sim.faults().schedule(
+            SimTime::from_secs(20),
+            SimTime::from_secs(22),
+            FaultKind::ReplicaCrash {
+                store: "db".into(),
+                region: US,
+            },
+        );
+        sim.run_until(SimTime::from_secs(21));
+        assert!(store.get_sync(US, "k00").is_none(), "the crash wiped US");
+        sim.run_until(SimTime::from_secs(23));
+        assert_eq!(store.replica_health(US), ReplicaHealth::Healthy);
+        assert!(store.converged_bytes());
     }
 
     #[test]

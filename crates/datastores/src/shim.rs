@@ -9,7 +9,7 @@
 
 use antipode::wait::{LocalBoxFuture, WaitError, WaitTarget};
 use antipode_lineage::varint::CodecError;
-use antipode_lineage::{Lineage, WriteId};
+use antipode_lineage::{Lineage, StoreId, WriteId};
 use antipode_sim::Region;
 use bytes::Bytes;
 
@@ -65,12 +65,15 @@ fn map_wait_err(e: StoreError) -> WaitError {
 #[derive(Clone)]
 pub struct KvShim {
     store: KvStore,
+    /// The store's name, interned once: every write names it.
+    store_id: StoreId,
 }
 
 impl KvShim {
     /// Wraps a store.
     pub fn new(store: KvStore) -> Self {
-        KvShim { store }
+        let store_id = StoreId::intern(store.name());
+        KvShim { store, store_id }
     }
 
     /// The wrapped store.
@@ -90,7 +93,7 @@ impl KvShim {
     ) -> Result<WriteId, ShimError> {
         let env = Envelope::with_lineage(value, lineage.clone());
         let version = self.store.put(region, key, env.encode()).await?;
-        let id = WriteId::new(self.store.name(), key, version);
+        let id = WriteId::from_parts(self.store_id, key.into(), version);
         lineage.append(id.clone());
         Ok(id)
     }
@@ -169,14 +172,18 @@ pub enum WaitSemantics {
 #[derive(Clone)]
 pub struct QueueShim {
     store: QueueStore,
+    /// The store's name, interned once: every publish names it.
+    store_id: StoreId,
     semantics: WaitSemantics,
 }
 
 impl QueueShim {
     /// Wraps a queue store with [`WaitSemantics::Delivered`].
     pub fn new(store: QueueStore) -> Self {
+        let store_id = StoreId::intern(store.name());
         QueueShim {
             store,
+            store_id,
             semantics: WaitSemantics::default(),
         }
     }
@@ -208,7 +215,7 @@ impl QueueShim {
     ) -> Result<WriteId, ShimError> {
         let env = Envelope::with_lineage(payload, lineage.clone());
         let id = self.store.publish(region, env.encode()).await?;
-        let wid = WriteId::new(self.store.name(), format!("msg-{id}"), id);
+        let wid = WriteId::from_parts(self.store_id, format!("msg-{id}").into(), id);
         lineage.append(wid.clone());
         Ok(wid)
     }

@@ -50,6 +50,10 @@ antipode_lineage::counters! {
         /// Parked visibility waiters compared against an applied record: only
         /// those subscribed to the record's own key.
         sum waiter_probes => count_waiter_probes,
+        /// Index slots a replica's hashed tables inspected (`table.rs`): per
+        /// lookup, insert or removal a small constant, whatever the table
+        /// holds.
+        sum table_slots_probed => count_table_slots_probed,
     }
 }
 
@@ -87,6 +91,7 @@ mod tests {
         count_integrity_refusals(1);
         count_pair_entries_visited(4);
         count_waiter_probes(2);
+        count_table_slots_probed(6);
         let s = snapshot();
         assert_eq!(s.commits, 1);
         assert_eq!(s.fanout_events, 1);
@@ -103,6 +108,7 @@ mod tests {
         assert_eq!(s.integrity_refusals, 1);
         assert_eq!(s.pair_entries_visited, 4);
         assert_eq!(s.waiter_probes, 2);
+        assert_eq!(s.table_slots_probed, 6);
         reset();
         assert_eq!(snapshot(), EngineStats::default());
     }

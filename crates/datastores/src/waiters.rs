@@ -14,7 +14,6 @@
 //! Wake order is task-queue order at the woken instant, so both rules are
 //! part of the `seed + plan ⇒ identical trace` contract.
 
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use antipode_sim::sync::OneSender;
@@ -22,6 +21,7 @@ use antipode_sim::sync::OneSender;
 use crate::engine::Record;
 use crate::stats;
 use crate::substrate::StoreError;
+use crate::table::Table;
 
 /// Resolved `Ok(())` when the awaited version lands, `Err(..)` when the
 /// replica goes dark (region outage, replica crash) or into quarantine — so
@@ -37,7 +37,7 @@ struct Waiter {
 #[derive(Default)]
 pub(crate) struct WaiterIndex {
     /// Non-empty buckets only, each in subscription order.
-    by_key: BTreeMap<Rc<str>, Vec<Waiter>>,
+    by_key: Table<Vec<Waiter>>,
     next_seq: u64,
 }
 
@@ -47,14 +47,14 @@ impl WaiterIndex {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.by_key
-            .entry(key)
-            .or_default()
+            .entry(&key)
+            .or_insert_with(Vec::new)
             .push(Waiter { seq, version, tx });
     }
 
     /// Number of parked waiters (diagnostics).
     pub(crate) fn len(&self) -> usize {
-        self.by_key.values().map(Vec::len).sum()
+        self.by_key.iter().map(|(_, bucket)| bucket.len()).sum()
     }
 
     /// Wakes, in subscription order, every waiter on `key` that `watermark`
@@ -74,16 +74,17 @@ impl WaiterIndex {
 
     /// Removes every waiter, in global subscription order.
     pub(crate) fn drain_all(&mut self) -> Vec<WaiterTx> {
-        let waiters = std::mem::take(&mut self.by_key)
-            .into_values()
-            .flatten()
-            .collect();
+        let mut waiters = Vec::new();
+        self.by_key.retain(|_, bucket| {
+            waiters.append(bucket);
+            false
+        });
         in_subscription_order(waiters)
     }
 
     /// Removes the waiters whose version `data` already holds, in global
     /// subscription order.
-    pub(crate) fn drain_visible(&mut self, data: &BTreeMap<Rc<str>, Record>) -> Vec<WaiterTx> {
+    pub(crate) fn drain_visible(&mut self, data: &Table<Record>) -> Vec<WaiterTx> {
         let mut waiters = Vec::new();
         self.by_key.retain(|key, bucket| {
             if let Some(record) = data.get(key) {
@@ -184,8 +185,9 @@ mod tests {
         assert_eq!(drain_order(drained, &mut rxs), vec![0, 1, 2, 3, 4]);
 
         let mut rxs = park(&mut index, &subs);
-        let data: BTreeMap<Rc<str>, Record> =
-            [(Rc::from("z"), record(2)), (Rc::from("a"), record(1))].into();
+        let mut data = Table::default();
+        data.insert(Rc::from("z"), record(2));
+        data.insert(Rc::from("a"), record(1));
         let drained = index.drain_visible(&data);
         assert_eq!(drain_order(drained, &mut rxs), vec![0, 1, 4]);
         assert_eq!(index.len(), 2, "m@1 and a@2 stay parked");

@@ -1,8 +1,9 @@
-//! Engine work per event is independent of how much is in flight, asserted
-//! by *count*, not wall-clock: `antipode_store::stats` counts the pair-queue
-//! entries a flusher wake inspects and the parked waiters an apply compares.
-//! Both counters are deterministic, so every scenario runs twice and must
-//! report identical numbers.
+//! Engine work per event is independent of how much is in flight or stored,
+//! asserted by *count*, not wall-clock: `antipode_store::stats` counts the
+//! pair-queue entries a flusher wake inspects, the parked waiters an apply
+//! compares and the index slots a table lookup probes. The counters are
+//! deterministic, so every scenario runs twice and must report identical
+//! numbers.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -152,6 +153,74 @@ fn an_apply_probes_only_waiters_of_its_own_key() {
     assert_eq!(
         first,
         apply_past_parked_waiters(),
+        "counts must repeat exactly"
+    );
+}
+
+const TOUCHED: usize = 1024;
+
+/// Loads one replica with `resident` keys, then overwrites, reads and probes
+/// `TOUCHED` of them, spread over the whole range, and probes one absent key
+/// for each. Returns the counters of the second phase, in which the table
+/// does not grow.
+fn touch_a_table_holding(resident: usize) -> EngineStats {
+    let sim = Sim::new(11);
+    let net = Rc::new(Network::global_triangle());
+    let store = KvStore::new(&sim, net, "db", &[EU], slow_replication());
+    let s = store.clone();
+    sim.block_on(async move {
+        for i in 0..resident {
+            s.put(EU, &format!("resident-{i}"), Bytes::from_static(b"v"))
+                .await
+                .expect("EU is configured");
+        }
+    });
+
+    stats::reset();
+    let s = store.clone();
+    sim.block_on(async move {
+        for i in 0..TOUCHED {
+            let key = format!("resident-{}", i * (resident / TOUCHED));
+            let version = s.put(EU, &key, Bytes::from_static(b"w")).await.unwrap();
+            assert_eq!(s.get_sync(EU, &key).map(|got| got.version), Some(version));
+            assert!(s.is_visible(EU, &key, version));
+            assert!(!s.is_visible(EU, &format!("absent-{i}"), 1));
+        }
+    });
+    stats::snapshot()
+}
+
+#[test]
+fn a_lookup_probes_a_few_slots_whether_the_table_holds_1k_or_128k_keys() {
+    let small = touch_a_table_holding(1 << 10);
+    let large = touch_a_table_holding(1 << 17);
+    // Four store operations per touched key (a put looks its key up twice:
+    // to intern it, then to overwrite).
+    let per_op = |s: &EngineStats| s.table_slots_probed as f64 / (4 * TOUCHED) as f64;
+    assert!(
+        per_op(&small) >= 1.0,
+        "every lookup probes at least its home"
+    );
+    assert!(
+        per_op(&small) <= 4.0 && per_op(&large) <= 4.0,
+        "slots probed per operation: {:.2} at 1 K keys, {:.2} at 128 K",
+        per_op(&small),
+        per_op(&large),
+    );
+    assert!(
+        (per_op(&small) - per_op(&large)).abs() <= 0.5,
+        "128 times the keys, the same probes: {:.2} at 1 K, {:.2} at 128 K",
+        per_op(&small),
+        per_op(&large),
+    );
+    assert_eq!(
+        small,
+        touch_a_table_holding(1 << 10),
+        "counts must repeat exactly"
+    );
+    assert_eq!(
+        large,
+        touch_a_table_holding(1 << 17),
         "counts must repeat exactly"
     );
 }
