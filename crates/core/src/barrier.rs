@@ -96,8 +96,8 @@ impl BarrierRetry {
 pub struct StoreWait {
     /// Interned datastore id; grouping compares this, not the name.
     pub store: StoreId,
-    /// Datastore name.
-    pub datastore: String,
+    /// Datastore name: the interner's own string, shared, not a copy.
+    pub datastore: Rc<str>,
     /// Dependencies on this store the barrier *resolved* (already visible
     /// or waited through). Counting resolutions rather than examinations
     /// keeps the sum stable across degraded re-arms: a dependency that stays
@@ -151,7 +151,7 @@ impl BarrierReport {
         }
         self.waits.push(StoreWait {
             store,
-            datastore: store.name().to_string(),
+            datastore: store.name(),
             deps: 0,
             blocked: Duration::ZERO,
             retries: 0,
@@ -685,7 +685,7 @@ mod tests {
         assert_eq!(report.waited_for, 1);
         assert_eq!(report.waits.len(), 1);
         let w = &report.waits[0];
-        assert_eq!(w.datastore, "db");
+        assert_eq!(&*w.datastore, "db");
         assert_eq!(w.retries, 3);
         // Backoff 100 + 200 + 400 ms at minimum.
         assert!(w.blocked >= Duration::from_millis(700), "blocked {w:?}");
@@ -768,7 +768,7 @@ mod tests {
                 .report
                 .waits
                 .iter()
-                .find(|w| w.datastore == "fast")
+                .find(|w| &*w.datastore == "fast")
                 .expect("cancelled barrier keeps partial telemetry");
             assert!(fast_wait.blocked >= Duration::from_millis(100));
             // Re-arm the remainder unbounded: it completes, and the merged
@@ -778,7 +778,7 @@ mod tests {
                 BarrierOutcome::Complete(r) => r,
                 other => panic!("unbounded rearm must complete, got {other:?}"),
             };
-            let get = |n: &str| report.waits.iter().find(|w| w.datastore == n).unwrap();
+            let get = |n: &str| report.waits.iter().find(|w| &*w.datastore == n).unwrap();
             assert!(get("fast").blocked >= Duration::from_millis(100));
             assert!(get("slow").blocked > Duration::ZERO);
             assert!(ap2.dry_run(&l, HERE).is_satisfied());
@@ -860,7 +860,7 @@ mod tests {
                 BarrierOutcome::Complete(r) => r,
                 other => panic!("unbounded rearm must complete, got {other:?}"),
             };
-            let get = |n: &str| report.waits.iter().find(|w| w.datastore == n).unwrap();
+            let get = |n: &str| report.waits.iter().find(|w| &*w.datastore == n).unwrap();
             // Pin the sums: the lineage has exactly one dep per store, and
             // the merged telemetry must agree no matter how many times the
             // barrier was re-armed along the way.
@@ -932,7 +932,7 @@ mod tests {
         let l = lineage_with(&[("a", "x", 1), ("b", "y", 1)]);
         let report = sim.block_on(async move { ap.barrier(&l, HERE).await.unwrap() });
         assert_eq!(report.waits.len(), 2);
-        let get = |n: &str| report.waits.iter().find(|w| w.datastore == n).unwrap();
+        let get = |n: &str| report.waits.iter().find(|w| &*w.datastore == n).unwrap();
         assert_eq!(get("a").deps, 1);
         assert_eq!(get("b").deps, 1);
         assert_eq!(get("a").retries + get("b").retries, 0);

@@ -567,7 +567,7 @@ impl<S: Substrate> Engine<S> {
                     None => Rc::from(k),
                 }
             }
-            None => Rc::from(self.inner.substrate.derived_key(version).as_str()),
+            None => self.inner.substrate.derived_key(version),
         };
         self.note_key_access(origin, &key);
         if self.inner.substrate.origin_applies_at_commit() {
@@ -764,7 +764,7 @@ impl<S: Substrate> Engine<S> {
             let key = self.inner.substrate.derived_key(version);
             for (&region, state) in replicas.iter_mut() {
                 self.note_key_access(region, &key);
-                dropped += u64::from(state.data.remove(key.as_str()).is_some());
+                dropped += u64::from(state.data.remove(&key).is_some());
                 state.waiters.wake_satisfied(&key, version);
             }
         }

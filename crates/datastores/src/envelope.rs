@@ -35,18 +35,26 @@ impl Envelope {
         }
     }
 
-    /// Encodes the envelope to the stored byte representation. The lineage
-    /// part comes from the lineage's cached wire encoding, so re-encoding an
-    /// unchanged lineage across writes costs a memcpy, not a serialization —
-    /// and the assembly scratch comes from (and returns to) the hot-path
-    /// [`crate::slab`], so a steady-state encode's only allocation is the
-    /// frozen `Bytes` itself.
+    /// Encodes the envelope to the stored byte representation; see
+    /// [`Envelope::encode_parts`].
     pub fn encode(&self) -> Bytes {
-        let lin = self.lineage.as_ref().map(Lineage::wire_bytes);
+        Envelope::encode_parts(&self.data, self.lineage.as_ref())
+    }
+
+    /// Encodes a value and the lineage it was written under without building
+    /// an `Envelope` first — so a shim holds no clone of the lineage across
+    /// its write, and the append that follows mutates a sole-holder vector
+    /// in place instead of copying it. The lineage part comes from the
+    /// lineage's cached wire encoding, so re-encoding an unchanged lineage
+    /// across writes costs a memcpy, not a serialization — and the assembly
+    /// scratch comes from (and returns to) the hot-path [`crate::slab`], so a
+    /// steady-state encode's only allocation is the frozen `Bytes` itself.
+    pub fn encode_parts(data: &[u8], lineage: Option<&Lineage>) -> Bytes {
+        let lin = lineage.map(Lineage::wire_bytes);
         let lin_len = lin.as_ref().map_or(0, |l| l.len());
-        let mut buf = crate::slab::take(self.data.len() + lin_len + 10);
-        put_varint(&mut buf, self.data.len() as u64);
-        buf.extend_from_slice(&self.data);
+        let mut buf = crate::slab::take(data.len() + lin_len + 10);
+        put_varint(&mut buf, data.len() as u64);
+        buf.extend_from_slice(data);
         put_varint(&mut buf, lin_len as u64);
         if let Some(l) = lin {
             buf.extend_from_slice(&l);

@@ -67,12 +67,30 @@ pub struct QueueMessage {
 impl QueueMessage {
     /// The key under which this message appears in write identifiers.
     pub fn key(&self) -> String {
-        format!("msg-{}", self.id)
+        msg_key(self.id).as_ref().to_owned()
     }
 }
 
-fn msg_key(id: u64) -> String {
-    format!("msg-{id}")
+/// The key of message `id`, `msg-{id}`: the one spelling, shared by write
+/// identifiers, replica records and visibility waits. The digits are written
+/// into a stack buffer, so the `Rc<str>` is the only allocation.
+pub(crate) fn msg_key(id: u64) -> Rc<str> {
+    // Filled from the back: room for the 20 digits of `u64::MAX` and "msg-".
+    let mut buf = [0u8; 24];
+    let mut at = buf.len();
+    let mut rest = id;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    at -= 4;
+    buf[at..at + 4].copy_from_slice(b"msg-");
+    // ASCII, so this borrows: the `Rc<str>` is the one allocation.
+    String::from_utf8_lossy(&buf[at..]).into()
 }
 
 /// A simulated geo-replicated queue / pub-sub system.
@@ -711,6 +729,9 @@ mod tests {
             published_at: SimTime::ZERO,
         };
         assert_eq!(m.key(), "msg-42");
+        for id in [0, 7, 10, 99, 100, 12_345, u64::MAX - 1, u64::MAX] {
+            assert_eq!(&*msg_key(id), format!("msg-{id}"));
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use antipode_sim::Region;
 use bytes::Bytes;
 
 use crate::envelope::Envelope;
-use crate::queue::{QueueMessage, QueueStore};
+use crate::queue::{msg_key, QueueMessage, QueueStore};
 use crate::replica::{KvStore, StoreError};
 
 /// Errors from shim reads.
@@ -91,8 +91,8 @@ impl KvShim {
         value: Bytes,
         lineage: &mut Lineage,
     ) -> Result<WriteId, ShimError> {
-        let env = Envelope::with_lineage(value, lineage.clone());
-        let version = self.store.put(region, key, env.encode()).await?;
+        let stored = Envelope::encode_parts(&value, Some(lineage));
+        let version = self.store.put(region, key, stored).await?;
         let id = WriteId::from_parts(self.store_id, key.into(), version);
         lineage.append(id.clone());
         Ok(id)
@@ -213,9 +213,9 @@ impl QueueShim {
         payload: Bytes,
         lineage: &mut Lineage,
     ) -> Result<WriteId, ShimError> {
-        let env = Envelope::with_lineage(payload, lineage.clone());
-        let id = self.store.publish(region, env.encode()).await?;
-        let wid = WriteId::from_parts(self.store_id, format!("msg-{id}").into(), id);
+        let stored = Envelope::encode_parts(&payload, Some(lineage));
+        let id = self.store.publish(region, stored).await?;
+        let wid = WriteId::from_parts(self.store_id, msg_key(id), id);
         lineage.append(wid.clone());
         Ok(wid)
     }

@@ -18,6 +18,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 use std::time::Duration;
 
 use antipode_sim::dist::Dist;
@@ -29,7 +30,7 @@ use antipode_sim::{Region, SimTime};
 use bytes::Bytes;
 
 use crate::probe::{VisibilityEvent, VisibilityProbe};
-use crate::queue::{QueueMessage, QueueProfile};
+use crate::queue::{msg_key, QueueMessage, QueueProfile};
 use crate::replica::KvProfile;
 
 /// Errors from datastore operations, unified across both store families.
@@ -165,8 +166,8 @@ pub trait Substrate: 'static {
 
     /// The key recorded for a commit that supplied none (queue publishes are
     /// keyed by message id).
-    fn derived_key(&self, version: u64) -> String {
-        format!("msg-{version}")
+    fn derived_key(&self, version: u64) -> Rc<str> {
+        msg_key(version)
     }
 
     /// Whether a record is garbage once every replica has applied it. True

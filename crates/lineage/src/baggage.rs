@@ -6,8 +6,11 @@
 //! it ([`Baggage::set_lineage`]) is an O(1) clone — no encoding happens until
 //! the baggage actually crosses a wire, as the textual header of
 //! [`Baggage::to_header`]/[`Baggage::from_header`]: `k=v` pairs with the
-//! lineage as base64 of its wire bytes under [`LINEAGE_KEY`].
+//! lineage as base64 of its wire bytes under [`LINEAGE_KEY`]. A parsed
+//! header keeps that entry raw, in a slot of its own, until
+//! [`Baggage::lineage`] decodes it.
 
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -22,15 +25,20 @@ pub const LINEAGE_KEY: &str = "antipode-lineage";
 /// A propagated string-keyed context map.
 #[derive(Clone, Debug, Default)]
 pub struct Baggage {
+    /// Every entry but the lineage. Invariant: never holds [`LINEAGE_KEY`].
     entries: BTreeMap<String, String>,
-    /// The structural lineage slot. Invariant: when this is `Some`, the
-    /// entry map holds no [`LINEAGE_KEY`] entry (raw string entries — e.g.
-    /// parsed headers — live in the map until decoded on demand).
+    /// The structural lineage slot. Invariant: at most one of this and
+    /// `raw_lineage` is `Some`.
     lineage: Option<Lineage>,
-    /// The lineage decoded from the raw [`LINEAGE_KEY`] entry, so a header
-    /// is decoded once however many readers extract from it (and from its
-    /// clones). Set only by [`Baggage::lineage`]; emptied by every mutator
-    /// that can change or remove the raw entry.
+    /// The [`LINEAGE_KEY`] entry as a raw (unescaped) string — parsed from a
+    /// header or set by hand — until it is decoded on demand. Shared, so
+    /// cloning the baggage and adopting the string as the decoded lineage's
+    /// base64 cache are pointer bumps.
+    raw_lineage: Option<Rc<str>>,
+    /// The lineage decoded from `raw_lineage`, so a header is decoded once
+    /// however many readers extract from it (and from its clones). Set only
+    /// by [`Baggage::lineage`]; emptied by every mutator that can change or
+    /// remove the raw entry.
     decoded: OnceCell<Lineage>,
 }
 
@@ -61,15 +69,7 @@ impl PartialEq for Baggage {
         // Compare the non-lineage entries structurally and the lineage by
         // value, regardless of whether it sits in the slot or (as after
         // `from_header`) as an undecoded base64 entry.
-        let a = self
-            .entries
-            .iter()
-            .filter(|(k, _)| k.as_str() != LINEAGE_KEY);
-        let b = other
-            .entries
-            .iter()
-            .filter(|(k, _)| k.as_str() != LINEAGE_KEY);
-        a.eq(b) && self.lineage_b64() == other.lineage_b64()
+        self.entries == other.entries && self.lineage_b64() == other.lineage_b64()
     }
 }
 
@@ -81,47 +81,58 @@ impl Baggage {
         Baggage::default()
     }
 
+    /// Takes the lineage entry out, whichever slot holds it, as the string
+    /// the entry map would have held.
+    fn take_lineage_entry(&mut self) -> Option<String> {
+        self.decoded.take();
+        match self.lineage.take() {
+            Some(l) => Some(l.wire_b64().as_ref().to_owned()),
+            None => self.raw_lineage.take().map(|raw| raw.as_ref().to_owned()),
+        }
+    }
+
     /// Sets an entry, returning the previous value. Setting [`LINEAGE_KEY`]
     /// directly stores the raw string (the compat path for hand-built
     /// headers) and displaces any structural lineage.
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) -> Option<String> {
         let key = key.into();
-        let displaced = if key == LINEAGE_KEY {
-            self.decoded.take();
-            self.lineage.take().map(|l| l.wire_b64().to_string())
-        } else {
-            None
-        };
-        self.entries.insert(key, value.into()).or(displaced)
+        if key == LINEAGE_KEY {
+            let displaced = self.take_lineage_entry();
+            self.raw_lineage = Some(value.into().into());
+            return displaced;
+        }
+        self.entries.insert(key, value.into())
     }
 
     /// Looks up an entry. The structural lineage is not visible here — use
     /// [`Baggage::lineage`] (raw [`LINEAGE_KEY`] entries set via
     /// [`Baggage::set`] or parsed from headers are).
     pub fn get(&self, key: &str) -> Option<&str> {
+        if key == LINEAGE_KEY {
+            return self.raw_lineage.as_deref();
+        }
         self.entries.get(key).map(String::as_str)
     }
 
     /// Removes an entry, returning its value ([`LINEAGE_KEY`] removes the
     /// structural lineage too, rendering it to base64 if needed).
     pub fn remove(&mut self, key: &str) -> Option<String> {
-        let displaced = if key == LINEAGE_KEY {
-            self.decoded.take();
-            self.lineage.take().map(|l| l.wire_b64().to_string())
-        } else {
-            None
-        };
-        self.entries.remove(key).or(displaced)
+        if key == LINEAGE_KEY {
+            return self.take_lineage_entry();
+        }
+        self.entries.remove(key)
     }
 
     /// Number of entries, counting the lineage (slot or raw) as one.
     pub fn len(&self) -> usize {
-        self.entries.len() + usize::from(self.lineage.is_some())
+        self.entries.len()
+            + usize::from(self.lineage.is_some())
+            + usize::from(self.raw_lineage.is_some())
     }
 
     /// Whether the baggage is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.lineage.is_none()
+        self.len() == 0
     }
 
     /// Stores a lineage in the structural slot: an O(1) clone (`Rc` bumps),
@@ -129,8 +140,7 @@ impl Baggage {
     /// the lineage's own caches — only when the baggage is rendered by
     /// [`Baggage::to_header`].
     pub fn set_lineage(&mut self, lineage: &Lineage) {
-        self.entries.remove(LINEAGE_KEY);
-        self.decoded.take();
+        self.clear_lineage();
         self.lineage = Some(lineage.clone());
     }
 
@@ -146,12 +156,12 @@ impl Baggage {
         if let Some(l) = self.lineage.as_ref().or_else(|| self.decoded.get()) {
             return Ok(l.clone());
         }
-        let raw = self.get(LINEAGE_KEY).ok_or(BaggageError::Missing)?;
+        let raw = self.raw_lineage.as_ref().ok_or(BaggageError::Missing)?;
         let bytes = base64::decode(raw).map_err(|_| BaggageError::Encoding)?;
         let lineage = Lineage::deserialize(&bytes).map_err(BaggageError::Codec)?;
         // Sound because `decode` is strict: `raw` is the unique base64 of
         // `bytes`, and a canonical decode cached exactly those bytes.
-        lineage.adopt_b64_cache(raw.into());
+        lineage.adopt_b64_cache(Rc::clone(raw));
         let _ = self.decoded.set(lineage.clone());
         Ok(lineage)
     }
@@ -160,8 +170,8 @@ impl Baggage {
     /// context drops the ongoing dependency set).
     pub fn clear_lineage(&mut self) {
         self.lineage = None;
+        self.raw_lineage = None;
         self.decoded.take();
-        self.entries.remove(LINEAGE_KEY);
     }
 
     /// The base64 rendering of the lineage, from whichever representation
@@ -169,18 +179,18 @@ impl Baggage {
     fn lineage_b64(&self) -> Option<Rc<str>> {
         match &self.lineage {
             Some(l) => Some(l.wire_b64()),
-            None => self.entries.get(LINEAGE_KEY).map(|s| s.as_str().into()),
+            None => self.raw_lineage.clone(),
         }
     }
 
     /// Renders the W3C-baggage-style header `k1=v1,k2=v2` with percent
-    /// escaping of `%`, `,` and `=` in keys and values. The structural
-    /// lineage renders under [`LINEAGE_KEY`] at its sorted position, so the
-    /// bytes are identical to the pre-slot implementation (asserted by the
-    /// golden header test).
+    /// escaping of `%`, `,` and `=` in keys and values. The lineage renders
+    /// under [`LINEAGE_KEY`] at its sorted position, so the bytes are
+    /// identical to the pre-slot implementation (asserted by the golden
+    /// header test).
     pub fn to_header(&self) -> String {
-        let lin_b64 = self.lineage.as_ref().map(|l| l.wire_b64());
-        let mut lin_pending = lin_b64.is_some();
+        let slot_b64 = self.lineage.as_ref().map(Lineage::wire_b64);
+        let mut lineage = slot_b64.as_deref().or(self.raw_lineage.as_deref());
         // One allocation when nothing but base64 padding needs escaping
         // (`==` renders as `%3D%3D`, hence the slack).
         let entries_len: usize = self
@@ -188,40 +198,40 @@ impl Baggage {
             .iter()
             .map(|(k, v)| k.len() + v.len() + 2)
             .sum();
-        let lineage_len = lin_b64
-            .as_ref()
-            .map_or(0, |b| LINEAGE_KEY.len() + b.len() + 6);
+        let lineage_len = lineage.map_or(0, |b| LINEAGE_KEY.len() + b.len() + 6);
         let mut out = String::with_capacity(entries_len + lineage_len);
-        let mut first = true;
-        let push_item = |out: &mut String, first: &mut bool, k: &str, v: &str| {
-            if !*first {
+        let mut push_lineage = |out: &mut String| {
+            let Some(value) = lineage.take() else { return };
+            if !out.is_empty() {
                 out.push(',');
             }
-            *first = false;
-            escape_into(out, k);
+            out.push_str(LINEAGE_KEY);
             out.push('=');
-            escape_into(out, v);
+            if slot_b64.is_some() {
+                // Base64 this crate encoded: `%` and `,` never occur and `=`
+                // only as trailing padding, so the body is copied without
+                // the per-byte metacharacter scan.
+                let body = value.trim_end_matches('=');
+                out.push_str(body);
+                for _ in body.len()..value.len() {
+                    out.push_str("%3D");
+                }
+            } else {
+                escape_into(out, value);
+            }
         };
         for (k, v) in &self.entries {
-            if lin_pending && k.as_str() > LINEAGE_KEY {
-                push_item(
-                    &mut out,
-                    &mut first,
-                    LINEAGE_KEY,
-                    lin_b64.as_deref().expect("pending implies present"),
-                );
-                lin_pending = false;
+            if k.as_str() > LINEAGE_KEY {
+                push_lineage(&mut out);
             }
-            push_item(&mut out, &mut first, k, v);
+            if !out.is_empty() {
+                out.push(',');
+            }
+            escape_into(&mut out, k);
+            out.push('=');
+            escape_into(&mut out, v);
         }
-        if lin_pending {
-            push_item(
-                &mut out,
-                &mut first,
-                LINEAGE_KEY,
-                lin_b64.as_deref().expect("pending implies present"),
-            );
-        }
+        push_lineage(&mut out);
         out
     }
 
@@ -239,7 +249,12 @@ impl Baggage {
             if let Some((k, v)) = item.split_once('=') {
                 // A fresh baggage has no structural lineage to displace, so
                 // this is all `set` would do.
-                b.entries.insert(unescape(k), unescape(v));
+                let key = unescape(k);
+                if key == LINEAGE_KEY {
+                    b.raw_lineage = Some(unescape(v).into());
+                } else {
+                    b.entries.insert(key.into_owned(), unescape(v).into_owned());
+                }
             }
         }
         b
@@ -269,12 +284,12 @@ fn escape_into(out: &mut String, s: &str) {
     out.push_str(rest);
 }
 
-/// Inverse of [`escape_into`]. Lenient: a `%` that does not start one of
-/// the three escapes (unknown hex, or cut short by the end of the item)
-/// passes through literally.
-fn unescape(s: &str) -> String {
+/// Inverse of [`escape_into`]; borrows the input when it holds no `%`.
+/// Lenient: a `%` that does not start one of the three escapes (unknown hex,
+/// or cut short by the end of the item) passes through literally.
+fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('%') {
-        return s.to_owned();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -298,7 +313,7 @@ fn unescape(s: &str) -> String {
         }
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -443,6 +458,123 @@ mod tests {
         let _ = parsed.lineage().unwrap();
         parsed.set_lineage(&other);
         assert_eq!(parsed.lineage().unwrap(), other);
+    }
+
+    #[test]
+    fn the_lineage_entry_reads_the_same_from_either_slot() {
+        let mut l = Lineage::new(LineageId(42));
+        l.append(WriteId::new("s3", "obj/12", 1)); // base64 ends in padding
+        let b64 = l.wire_b64().to_string();
+        assert!(b64.ends_with('='));
+        let mut other = Lineage::new(LineageId(7));
+        other.append(WriteId::new("mysql", "row", 9));
+        let by_hand = "50%,a=b=";
+
+        // How the entry got there → what `get` shows for it (`None`: the
+        // structural slot is not a map entry) and what displacing it returns.
+        type Build = fn(&Lineage, &str) -> Baggage;
+        let holders: [(&str, Build, Option<&str>, &str); 3] = [
+            (
+                "structural slot",
+                |l, _| {
+                    let mut b = Baggage::new();
+                    b.set_lineage(l);
+                    b
+                },
+                None,
+                &b64,
+            ),
+            (
+                "raw slot from from_header",
+                |l, _| {
+                    let mut sent = Baggage::new();
+                    sent.set_lineage(l);
+                    Baggage::from_header(&sent.to_header())
+                },
+                Some(&b64),
+                &b64,
+            ),
+            (
+                "raw slot set by hand",
+                |_, by_hand| {
+                    let mut b = Baggage::new();
+                    b.set(LINEAGE_KEY, by_hand);
+                    b
+                },
+                Some(by_hand),
+                by_hand,
+            ),
+        ];
+        for (name, build, shown, held) in holders {
+            let build = || {
+                let mut b = build(&l, by_hand);
+                b.set("aardvark", "1"); // sorts before the lineage key
+                b.set("zebra", "2"); // and after
+                b
+            };
+            let b = build();
+            assert_eq!(b.get(LINEAGE_KEY), shown, "{name}: get");
+            assert_eq!(b.len(), 3, "{name}: len");
+            assert!(!b.is_empty());
+            let header = b.to_header();
+            assert!(
+                header.starts_with("aardvark=1,antipode-lineage=") && header.ends_with(",zebra=2"),
+                "{name}: sorted position in {header}"
+            );
+            let back = Baggage::from_header(&header);
+            assert_eq!(back, b, "{name}: from_header(to_header(b)) == b");
+            assert_eq!(
+                back.get(LINEAGE_KEY),
+                Some(held),
+                "{name}: unescaped on parse"
+            );
+            assert_eq!(back.to_header(), header, "{name}: renders the same again");
+
+            let mut set = build();
+            assert_eq!(set.set(LINEAGE_KEY, "x"), Some(held.to_string()), "{name}");
+            assert_eq!((set.get(LINEAGE_KEY), set.len()), (Some("x"), 3), "{name}");
+            assert_eq!(set.lineage(), Err(BaggageError::Encoding), "{name}");
+
+            let mut removed = build();
+            assert_eq!(
+                removed.remove(LINEAGE_KEY),
+                Some(held.to_string()),
+                "{name}"
+            );
+            assert_eq!(
+                (removed.get(LINEAGE_KEY), removed.len()),
+                (None, 2),
+                "{name}"
+            );
+            assert_eq!(removed.remove(LINEAGE_KEY), None, "{name}");
+            assert_eq!(removed.lineage(), Err(BaggageError::Missing), "{name}");
+            assert_ne!(removed, b, "{name}");
+
+            let mut replaced = build();
+            replaced.set_lineage(&other);
+            assert_eq!(
+                (replaced.get(LINEAGE_KEY), replaced.len()),
+                (None, 3),
+                "{name}"
+            );
+            assert_eq!(replaced.lineage().unwrap(), other, "{name}");
+            assert_ne!(replaced, b, "{name}");
+
+            let mut cleared = build();
+            cleared.clear_lineage();
+            assert_eq!(cleared, removed, "{name}: clear_lineage is remove");
+            assert_eq!(cleared.to_header(), "aardvark=1,zebra=2", "{name}");
+        }
+        // The three holders of one lineage are one baggage.
+        let [slot, parsed, _] = holders.map(|(_, build, ..)| build(&l, &b64));
+        let mut raw = Baggage::new();
+        raw.set(LINEAGE_KEY, b64.clone());
+        assert!(slot == parsed && parsed == raw && raw == slot);
+        assert_eq!(parsed.lineage().unwrap(), l);
+        // The map itself never holds the key, however it is spelled.
+        let spelled = Baggage::from_header("antipode-lineage=a,antipode-lineage=b");
+        assert_eq!((spelled.get(LINEAGE_KEY), spelled.len()), (Some("b"), 1));
+        assert!(spelled.entries.is_empty());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! the v1 wire format, which still carries datastore names as strings.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 // lint: allow(nondeterministic-map, lookup-only index — never iterated, so
 // iteration order cannot escape; hashing keeps interning O(1) on the hot path)
 use std::collections::HashMap;
@@ -40,6 +41,14 @@ struct Interner {
     // lint: allow(nondeterministic-map, get/insert only; ids come from the
     // insertion-ordered `names` vector, never from map iteration)
     index: HashMap<Rc<str>, u32>,
+}
+
+impl Interner {
+    fn name_of(&self, id: StoreId) -> &Rc<str> {
+        self.names
+            .get(id.0 as usize)
+            .expect("StoreId from a foreign interner")
+    }
 }
 
 thread_local! {
@@ -70,14 +79,23 @@ impl StoreId {
 
     /// The interned name. O(1) — a vector index plus an `Rc` bump.
     pub fn name(self) -> Rc<str> {
+        INTERNER.with(|cell| Rc::clone(cell.borrow().name_of(self)))
+    }
+
+    /// Runs `f` on the interned name where it lies, under the interner's
+    /// borrow: no `Rc` is cloned and dropped around the read. `f` must not
+    /// intern (the interner is borrowed while it runs).
+    pub(crate) fn with_name<R>(self, f: impl FnOnce(&str) -> R) -> R {
+        INTERNER.with(|cell| f(cell.borrow().name_of(self)))
+    }
+
+    /// Lexicographic order of the two *names* (ids order by interning
+    /// history), both read under one borrow: what [`crate::WriteId`]'s
+    /// ordering pays for every comparison across stores.
+    pub(crate) fn cmp_names(self, other: StoreId) -> Ordering {
         INTERNER.with(|cell| {
             let interner = cell.borrow();
-            Rc::clone(
-                interner
-                    .names
-                    .get(self.0 as usize)
-                    .expect("StoreId from a foreign interner"),
-            )
+            interner.name_of(self).cmp(interner.name_of(other))
         })
     }
 
@@ -146,6 +164,16 @@ mod tests {
         assert_eq!(interned_count(), before);
         let id = StoreId::intern("interner-test-lookup-hit");
         assert_eq!(StoreId::lookup("interner-test-lookup-hit"), Some(id));
+    }
+
+    #[test]
+    fn borrowed_reads_agree_with_the_cloning_ones() {
+        let z = StoreId::intern("interner-test-borrowed-z");
+        let a = StoreId::intern("interner-test-borrowed-a");
+        assert_eq!(z.with_name(str::len), z.name().len());
+        assert_eq!(a.cmp_names(z), Ordering::Less, "by name, not by id");
+        assert_eq!(z.cmp_names(a), z.name().cmp(&a.name()));
+        assert_eq!(a.cmp_names(a), Ordering::Equal);
     }
 
     #[test]

@@ -156,18 +156,23 @@ impl Lineage {
         if other.deps.is_empty() || Rc::ptr_eq(&self.deps, &other.deps) {
             return;
         }
-        if self.deps.is_empty() {
-            // Share the donor's vector outright — O(1).
-            self.deps = Rc::clone(&other.deps);
-            self.invalidate_cache();
-            return;
-        }
-        if other
-            .deps
-            .iter()
-            .all(|d| self.deps.binary_search(d).is_ok())
-        {
+        if is_subset(&other.deps, &self.deps) {
             return; // nothing new: keep deps and caches untouched
+        }
+        if is_subset(&self.deps, &other.deps) {
+            // The donor already holds everything the receiver does — what an
+            // RPC response always is, and an empty receiver trivially. The
+            // union is the donor's vector: share it, O(1), instead of merging
+            // into a fresh one. Its encodings carry the donor's id, so they
+            // are the receiver's too only when the ids are equal.
+            self.deps = Rc::clone(&other.deps);
+            if self.id == other.id {
+                *self.wire.borrow_mut() = other.wire.borrow().clone();
+                *self.b64.borrow_mut() = other.b64.borrow().clone();
+            } else {
+                self.invalidate_cache();
+            }
+            return;
         }
         // Two-pointer merge of the sorted vectors into a fresh private one.
         let merged = merge_sorted(&self.deps, &other.deps);
@@ -270,35 +275,57 @@ impl Lineage {
         self.wire_bytes().to_vec()
     }
 
-    /// Encodes the canonical v1 wire form. O(deps): the string table is
-    /// built by watching the interned store id change across the sorted dep
-    /// vector (same-store deps are adjacent), so no per-dep name scan and no
-    /// intermediate name vector allocation beyond the table itself.
+    /// Each dependency with the index of its store in the wire form's name
+    /// table, and whether it opens that table entry: the table lists the
+    /// distinct stores in first-seen order, and same-store deps are adjacent
+    /// in the sorted vector, so an entry opens wherever the interned id
+    /// changes.
+    fn table_indexed(&self) -> impl Iterator<Item = (u64, bool, &WriteId)> {
+        let mut prev: Option<StoreId> = None;
+        let mut names = 0u64;
+        self.deps.iter().map(move |d| {
+            let opens = prev != Some(d.store());
+            prev = Some(d.store());
+            names += u64::from(opens);
+            (names - 1, opens, d)
+        })
+    }
+
+    /// Encodes the canonical v1 wire form. O(deps), one allocation: a first
+    /// pass sizes the buffer exactly, and store names are measured and
+    /// copied where the interner holds them.
     fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + self.deps.len() * 16);
+        let (mut n_names, mut len) = (0u64, 0usize);
+        for (idx, opens, d) in self.table_indexed() {
+            if opens {
+                n_names += 1;
+                len += d
+                    .store()
+                    .with_name(|n| varint_len(n.len() as u64) + n.len());
+            }
+            len += varint_len(idx)
+                + varint_len(d.key().len() as u64)
+                + d.key().len()
+                + varint_len(d.version());
+        }
+        len += 1 + varint_len(self.id.0) + varint_len(n_names) + varint_len(self.deps.len() as u64);
+
+        let mut buf = Vec::with_capacity(len);
         buf.put_u8(WIRE_VERSION);
         put_varint(&mut buf, self.id.0);
-        // String table: distinct datastore names in first-seen (canonical)
-        // order. Deps are sorted, so names group together.
-        let ids = self.store_ids();
-        put_varint(&mut buf, ids.len() as u64);
-        for id in &ids {
-            put_str(&mut buf, &id.name());
+        put_varint(&mut buf, n_names);
+        for (_, opens, d) in self.table_indexed() {
+            if opens {
+                d.store().with_name(|n| put_str(&mut buf, n));
+            }
         }
         put_varint(&mut buf, self.deps.len() as u64);
-        let mut idx: u64 = 0;
-        let mut prev: Option<StoreId> = None;
-        for d in self.deps.iter() {
-            if let Some(p) = prev {
-                if p != d.store() {
-                    idx += 1;
-                }
-            }
-            prev = Some(d.store());
+        for (idx, _, d) in self.table_indexed() {
             put_varint(&mut buf, idx);
             put_str(&mut buf, d.key());
             put_varint(&mut buf, d.version());
         }
+        debug_assert_eq!(buf.len(), len, "the sizing pass and the writes agree");
         buf
     }
 
@@ -379,8 +406,83 @@ impl BodyDecode {
     }
 }
 
+/// One dependency as parsed: its key is `keys[start..start + len]` of the
+/// [`DecodeScratch`] it sits in.
+struct ParsedDep {
+    store: StoreId,
+    start: u32,
+    len: u32,
+    version: u64,
+}
+
+/// What a decode fills while it parses and is done with when it returns. It
+/// is kept from one decode to the next, so a decode allocates only what its
+/// lineage keeps — the dep vector and one exactly-sized key buffer — and
+/// never per name, per dependency or per growth step.
+struct DecodeScratch {
+    /// The name table, interned.
+    stores: Vec<StoreId>,
+    /// The dependencies, in input order.
+    deps: Vec<ParsedDep>,
+    /// Every key, end to end.
+    keys: String,
+}
+
+impl DecodeScratch {
+    /// Capacity beyond which the scratch is dropped rather than kept: what a
+    /// hostile input made it grow to is not held for the thread's lifetime.
+    const KEEP_BYTES: usize = 16 * 1024;
+
+    const fn new() -> Self {
+        DecodeScratch {
+            stores: Vec::new(),
+            deps: Vec::new(),
+            keys: String::new(),
+        }
+    }
+
+    /// The thread's scratch, emptied (a fresh one if a decode is under way).
+    fn take() -> Self {
+        let mut scratch = SCRATCH.replace(DecodeScratch::new());
+        scratch.stores.clear();
+        scratch.deps.clear();
+        scratch.keys.clear();
+        scratch
+    }
+
+    fn give_back(self) {
+        let held = self.keys.capacity()
+            + self.deps.capacity() * std::mem::size_of::<ParsedDep>()
+            + self.stores.capacity() * std::mem::size_of::<StoreId>();
+        if held <= Self::KEEP_BYTES {
+            SCRATCH.set(self);
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<DecodeScratch> = const { RefCell::new(DecodeScratch::new()) };
+}
+
 /// Decodes the wire body, tracking canonicality as it parses.
+///
+/// Allocates per lineage, not per dependency: every key is copied into one
+/// buffer and each identifier holds a range of it.
 fn decode_body(buf: &mut &[u8]) -> Result<BodyDecode, CodecError> {
+    let mut scratch = DecodeScratch::take();
+    let decoded = decode_body_into(buf, &mut scratch);
+    scratch.give_back();
+    decoded
+}
+
+fn decode_body_into(
+    buf: &mut &[u8],
+    scratch: &mut DecodeScratch,
+) -> Result<BodyDecode, CodecError> {
+    // Key ranges are `u32` offsets into a buffer no longer than the input.
+    if u32::try_from(buf.remaining()).is_err() {
+        return Err(CodecError::LengthOutOfBounds);
+    }
     let id = get_varint(buf)?;
     // Canonical minimal length, accumulated as we parse; the caller compares
     // it to the consumed length to detect non-minimal varints.
@@ -391,7 +493,7 @@ fn decode_body(buf: &mut &[u8]) -> Result<BodyDecode, CodecError> {
         return Err(CodecError::LengthOutOfBounds);
     }
     canonical_len += varint_len(n_names as u64);
-    let mut stores: Vec<StoreId> = Vec::with_capacity(n_names.min(buf.remaining()));
+    scratch.stores.reserve(n_names);
     let mut names_sorted = true;
     let mut prev_name: Option<&str> = None;
     for _ in 0..n_names {
@@ -401,7 +503,7 @@ fn decode_body(buf: &mut &[u8]) -> Result<BodyDecode, CodecError> {
         if prev_name.is_some_and(|p| p >= name) {
             names_sorted = false;
         }
-        stores.push(StoreId::intern(name));
+        scratch.stores.push(StoreId::intern(name));
         prev_name = Some(name);
     }
     let n_deps = get_varint(buf)? as usize;
@@ -411,53 +513,78 @@ fn decode_body(buf: &mut &[u8]) -> Result<BodyDecode, CodecError> {
         return Err(CodecError::LengthOutOfBounds);
     }
     canonical_len += varint_len(n_deps as u64);
-    let mut deps: Vec<WriteId> = Vec::with_capacity(n_deps);
+    scratch.deps.reserve(n_deps);
+    // What is left of the input, less the three bytes each dependency spends
+    // outside its key, bounds the keys' total.
+    scratch.keys.reserve(buf.remaining() - 3 * n_deps);
     // Canonical index pattern: starts at 0, steps by at most 1, ends at
     // n_names - 1 (every table entry used), deps strictly increasing.
     let mut canonical = names_sorted;
-    let mut prev_idx: Option<u64> = None;
+    let mut prev: Option<(u64, &str, u64)> = None;
     for _ in 0..n_deps {
         let idx = get_varint(buf)?;
-        let store = *stores
+        let store = *scratch
+            .stores
             .get(idx as usize)
             .ok_or(CodecError::LengthOutOfBounds)?;
+        // Validated as UTF-8 on its own, so its range of the key buffer
+        // starts and ends on char boundaries whatever its neighbours are.
         let key = get_str(buf)?;
         let version = get_varint(buf)?;
         canonical_len +=
             varint_len(idx) + varint_len(key.len() as u64) + key.len() + varint_len(version);
-        // The key's one allocation: straight from the input into its `Rc`.
-        let dep = WriteId::from_parts(store, Rc::from(key), version);
-        match prev_idx {
-            None => {
-                if idx != 0 {
-                    canonical = false;
-                }
-            }
-            Some(p) => {
-                if idx != p && idx != p + 1 {
-                    canonical = false;
-                }
-                if idx == p && canonical {
-                    // Same store: names are equal, so WriteId order
-                    // reduces to (key, version) — must strictly increase.
-                    if deps.last().is_some_and(|prev| *prev >= dep) {
-                        canonical = false;
-                    }
-                }
+        match prev {
+            None => canonical &= idx == 0,
+            Some((p, prev_key, prev_version)) => {
+                canonical &= idx == p || idx == p + 1;
+                // Same store: names are equal, so WriteId order reduces to
+                // (key, version) — must strictly increase.
+                canonical &= idx != p || (prev_key, prev_version) < (key, version);
             }
         }
-        prev_idx = Some(idx);
-        deps.push(dep);
+        prev = Some((idx, key, version));
+        scratch.deps.push(ParsedDep {
+            store,
+            // In range of `u32`: the whole input is (checked on entry).
+            start: scratch.keys.len() as u32,
+            len: key.len() as u32,
+            version,
+        });
+        scratch.keys.push_str(key);
     }
-    canonical &= match prev_idx {
-        Some(last) => last as usize == n_names - 1,
+    canonical &= match prev {
+        Some((last, ..)) => last as usize == n_names - 1,
         None => n_names == 0,
     };
+    let mut deps = Vec::new();
+    if !scratch.deps.is_empty() {
+        stats::count_key_buffer(1);
+        let keys: Rc<str> = Rc::from(scratch.keys.as_str());
+        deps.extend(
+            scratch
+                .deps
+                .iter()
+                .map(|d| WriteId::in_buffer(d.store, &keys, d.start, d.len, d.version)),
+        );
+    }
     Ok(BodyDecode {
         id,
         deps,
         canonical,
         canonical_len,
+    })
+}
+
+/// Whether every element of `sub` is in `sup` (both sorted, deduplicated):
+/// one forward walk over the two.
+fn is_subset(sub: &[WriteId], sup: &[WriteId]) -> bool {
+    if sub.len() > sup.len() {
+        return false;
+    }
+    let mut sup = sup.iter();
+    sub.iter().all(|d| {
+        let reached = sup.by_ref().map(|s| s.cmp(d)).find(|order| order.is_ge());
+        reached == Some(std::cmp::Ordering::Equal)
     })
 }
 

@@ -78,6 +78,10 @@ counters! {
         /// Decodes whose input was byte-for-byte canonical, letting the decoder
         /// adopt the input as the cached wire form (re-serialization is free).
         sum canonical_decodes => count_canonical_decode,
+        /// Key buffers allocated by decodes: one per decoded lineage that has
+        /// dependencies, whatever their number (the identifiers hold ranges
+        /// of it).
+        sum key_buffers => count_key_buffer,
     }
 }
 

@@ -55,10 +55,14 @@ pub fn get_varint(buf: &mut impl Buf) -> Result<u64, CodecError> {
             return Err(CodecError::UnexpectedEof);
         }
         let byte = buf.get_u8();
-        if shift >= 64 {
+        let bits = u64::from(byte & 0x7f);
+        // A tenth byte holds bit 63 alone: more would be shifted out, and two
+        // encodings would decode to one value — the canonical-input check
+        // compares lengths, so it would adopt bytes `serialize` never emits.
+        if shift >= 64 || (shift == 63 && bits > 1) {
             return Err(CodecError::VarintOverflow);
         }
-        v |= u64::from(byte & 0x7f) << shift;
+        v |= bits << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
@@ -130,6 +134,20 @@ mod tests {
     fn varint_overflow() {
         let mut slice: &[u8] = &[0xff; 11];
         assert_eq!(get_varint(&mut slice), Err(CodecError::VarintOverflow));
+    }
+
+    #[test]
+    fn varint_rejects_bits_past_the_64th() {
+        // u64::MAX is nine 0xff bytes and a final 0x01; any other tenth byte
+        // with the same low bit used to decode to the same value.
+        let mut max = Vec::new();
+        put_varint(&mut max, u64::MAX);
+        assert_eq!(max.last(), Some(&0x01));
+        for tenth in [0x02u8, 0x03, 0x0f, 0x7f] {
+            *max.last_mut().unwrap() = tenth;
+            let mut slice = max.as_slice();
+            assert_eq!(get_varint(&mut slice), Err(CodecError::VarintOverflow));
+        }
     }
 
     #[test]

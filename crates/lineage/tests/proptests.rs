@@ -1,6 +1,9 @@
 //! Property-based tests for the lineage crate: codec round-trips and
 //! formal-model invariants.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use antipode_lineage::model::{Causality, Execution, Op, ProcId};
 use antipode_lineage::varint::{get_str, get_varint, put_str, put_varint};
 use antipode_lineage::{base64, Baggage, Lineage, LineageId, WriteId};
@@ -25,7 +28,113 @@ fn arb_lineage() -> impl Strategy<Value = Lineage> {
         })
 }
 
+/// Write ids over few stores with short keys of any printable characters:
+/// multi-byte ones put char boundaries inside a decoded lineage's shared key
+/// buffer, and the narrow alphabets make equal keys, prefixes and same-object
+/// pairs common.
+fn arb_unicode_write_id() -> impl Strategy<Value = WriteId> {
+    ("[a-c]", "\\PC{0,4}", 0u64..4).prop_map(|(s, k, v)| WriteId::new(s, k, v))
+}
+
+/// A lineage built by `append`, so every id owns a buffer that is its key.
+fn lineage_of(id: u64, deps: impl IntoIterator<Item = WriteId>) -> Lineage {
+    let mut l = Lineage::new(LineageId(id));
+    for d in deps {
+        l.append(d);
+    }
+    l
+}
+
+fn hash_of(w: &WriteId) -> u64 {
+    let mut h = DefaultHasher::new();
+    w.hash(&mut h);
+    h.finish()
+}
+
 proptest! {
+    #[test]
+    fn decoded_ids_behave_as_the_appended_ones(
+        id in any::<u64>(),
+        deps in proptest::collection::vec(arb_unicode_write_id(), 0..24),
+        strangers in proptest::collection::vec(arb_unicode_write_id(), 0..8),
+    ) {
+        // A decoded id holds a range of its lineage's one key buffer, an
+        // appended one a buffer of its own: nothing may tell them apart.
+        let built = lineage_of(id, deps);
+        let bytes = built.serialize();
+        let decoded = Lineage::deserialize(&bytes).unwrap();
+        prop_assert_eq!(&decoded, &built);
+        let probes: Vec<WriteId> = built.deps().cloned().chain(strangers).collect();
+        for (d, b) in decoded.deps().zip(built.deps()) {
+            prop_assert_eq!(d, b);
+            prop_assert_eq!(hash_of(d), hash_of(b));
+            for p in &probes {
+                prop_assert_eq!(d.cmp(p), b.cmp(p));
+                prop_assert_eq!(p.cmp(d), b.cmp(p).reverse());
+                prop_assert_eq!(d == p, b == p);
+                prop_assert_eq!(d.same_object(p), b.same_object(p));
+            }
+        }
+        // A clone pins the buffer: it reads its key after the lineage, its
+        // wire bytes and the input are gone.
+        let kept: Vec<WriteId> = decoded.deps().cloned().collect();
+        let want: Vec<(String, u64)> =
+            built.deps().map(|d| (d.key().to_string(), d.version())).collect();
+        drop((decoded, bytes, built));
+        prop_assert_eq!(kept.len(), want.len());
+        for (k, (key, version)) in kept.iter().zip(&want) {
+            prop_assert_eq!(k.key(), key.as_str());
+            prop_assert_eq!(k.version(), *version);
+        }
+    }
+
+    #[test]
+    fn transfer_from_a_superset_shares_its_vector(
+        id in any::<u64>(),
+        deps in proptest::collection::vec((arb_unicode_write_id(), any::<bool>()), 0..24),
+        stranger in arb_write_id(),
+    ) {
+        let b = lineage_of(id, deps.iter().map(|(d, _)| d.clone()));
+        let subset = || deps.iter().filter(|(_, keep)| *keep).map(|(d, _)| d.clone());
+        // Equal sets are left alone (the receiver keeps its own caches), so
+        // only a strict subset ends up on the donor's vector.
+        let strict = lineage_of(id, subset()).len() < b.len();
+        let _ = b.wire_b64(); // the donor arrives with both caches filled
+
+        // Equal ids: the donor's vector *and* its encodings are the union's.
+        let mut a = lineage_of(id, subset());
+        let _ = a.wire_b64();
+        a.transfer_from(&b);
+        prop_assert_eq!(a.shares_deps_with(&b), strict || b.is_empty());
+        prop_assert_eq!(&a, &b);
+        let fresh = lineage_of(id, b.deps().cloned());
+        prop_assert_eq!(a.wire_bytes(), fresh.wire_bytes());
+        prop_assert_eq!(a.wire_b64(), fresh.wire_b64());
+
+        // Different ids: the vector is shared, the encodings are not — the
+        // wire form carries the id.
+        let other_id = id ^ 1;
+        let mut a = lineage_of(other_id, subset());
+        let _ = a.wire_b64();
+        a.transfer_from(&b);
+        prop_assert_eq!(a.shares_deps_with(&b), strict || b.is_empty());
+        let fresh = lineage_of(other_id, b.deps().cloned());
+        prop_assert_eq!(&a, &fresh);
+        prop_assert_eq!(Lineage::deserialize(&a.serialize()).unwrap().id(), LineageId(other_id));
+        prop_assert_eq!(a.wire_bytes(), fresh.wire_bytes());
+        prop_assert_eq!(a.wire_b64(), fresh.wire_b64());
+
+        // Not a subset: a merge into a vector of its own, as before.
+        if !b.contains(&stranger) {
+            let mut a = lineage_of(id, subset().chain([stranger.clone()]));
+            a.transfer_from(&b);
+            prop_assert!(!a.shares_deps_with(&b));
+            let union = lineage_of(id, b.deps().cloned().chain([stranger]));
+            prop_assert_eq!(&a, &union);
+            prop_assert_eq!(a.wire_bytes(), union.wire_bytes());
+        }
+    }
+
     #[test]
     fn varint_round_trips(v in any::<u64>()) {
         let mut buf = Vec::new();

@@ -3,11 +3,14 @@
 //! lineage wire payload, and the write-ahead log a replica reads back off
 //! its disk at restart. Whatever the input — noise, or a valid encoding
 //! with a byte flipped, a tail cut off or garbage spliced in — each decoder
-//! must return, and whatever it accepts must render again.
+//! must return, and whatever it accepts must render again — and read: an
+//! accepted lineage's identifiers hold ranges of one shared key buffer, and a
+//! range off a char boundary would panic in `WriteId::key`.
 
 use std::rc::Rc;
 
-use antipode_lineage::{Baggage, Lineage, LineageId, WriteId, LINEAGE_KEY};
+use antipode_lineage::varint::{put_str, put_varint};
+use antipode_lineage::{Baggage, CodecError, Lineage, LineageId, WriteId, LINEAGE_KEY};
 use antipode_sim::dist::Dist;
 use antipode_sim::net::regions::{EU, US};
 use antipode_sim::{FaultKind, Network, Sim, SimTime};
@@ -21,21 +24,52 @@ use proptest::prelude::*;
 type Decoder = (&'static str, fn(&[u8]));
 
 /// Every external-bytes decoder, driven to the point where its output is
-/// used: decode, then extract and re-encode what decoded.
+/// used: decode, then extract, read and re-encode what decoded.
 const DECODERS: [Decoder; 2] = [
     ("Baggage::from_header(..).lineage()", |bytes| {
         let baggage = Baggage::from_header(&String::from_utf8_lossy(bytes));
         if let Ok(lineage) = baggage.lineage() {
+            read_keys(&lineage);
             let _ = lineage.wire_b64();
         }
         let _ = baggage.to_header();
     }),
     ("Lineage::deserialize", |bytes| {
         if let Ok(lineage) = Lineage::deserialize(bytes) {
+            read_keys(&lineage);
             let _ = lineage.serialize();
         }
     }),
 ];
+
+/// Slices every key out of the accepted lineage's key buffer.
+fn read_keys(lineage: &Lineage) {
+    for dep in lineage.deps() {
+        let _ = dep.key().chars().count();
+    }
+}
+
+/// Two adjacent keys that are valid UTF-8 only as a pair: the first ends in
+/// the lead byte of `é`, the second starts with its continuation byte. Were
+/// keys validated as one run — or copied first and validated after — the
+/// decoder would accept ranges that split a character.
+#[test]
+fn keys_are_validated_one_by_one_not_as_a_run() {
+    let pair = "aéb".as_bytes(); // 61 C3 A9 62
+    let mut wire = vec![1u8]; // version
+    put_varint(&mut wire, 7); // id
+    put_varint(&mut wire, 1); // one name
+    put_str(&mut wire, "s");
+    put_varint(&mut wire, 2); // two deps
+    for (key, version) in [(&pair[..2], 1), (&pair[2..], 2)] {
+        put_varint(&mut wire, 0); // store index
+        put_varint(&mut wire, key.len() as u64);
+        wire.extend_from_slice(key);
+        put_varint(&mut wire, version);
+    }
+    assert!(std::str::from_utf8(pair).is_ok());
+    assert_eq!(Lineage::deserialize(&wire), Err(CodecError::InvalidUtf8));
+}
 
 /// WAL replay as a decoder: the image becomes the resident log of a live
 /// replica, which then crash-restarts over it (`scan_frames` → the replay
@@ -132,11 +166,9 @@ fn never_panics(decoders: &[Decoder], input: &[u8]) -> Result<(), TestCaseError>
 }
 
 fn arb_baggage() -> impl Strategy<Value = Baggage> {
-    let dep = (
-        "[a-z][a-z0-9-]{0,12}",
-        "[a-zA-Z0-9/_%=,-]{0,16}",
-        any::<u64>(),
-    );
+    // Keys of any printable characters: the header's metacharacters, and
+    // multi-byte ones so that damage lands inside characters of the keys.
+    let dep = ("[a-z][a-z0-9-]{0,12}", "\\PC{0,12}", any::<u64>());
     (
         any::<u64>(),
         proptest::collection::vec(dep, 0..12),

@@ -7,10 +7,16 @@
 //! stats. This is what keeps the chaos plane's byte-for-byte reproducibility
 //! intact across the perf refactor.
 
+use std::rc::Rc;
 use std::thread;
 
 use antipode_lineage::WriteId;
 use antipode_lineage::{interner, stats, Baggage, Lineage, LineageId, LineageStats, StoreId};
+use antipode_sim::net::regions::{EU, US};
+use antipode_sim::{Network, Sim};
+use antipode_store::replica::{KvProfile, KvStore};
+use antipode_store::shim::KvShim;
+use bytes::Bytes;
 
 /// A fixed intern sequence with re-interns mixed in.
 const NAMES: [&str; 7] = [
@@ -88,6 +94,58 @@ fn fixed_workload_is_identical_across_threads() {
     assert_eq!(a.1, b.1, "final wire bytes");
     assert_eq!(a.2, b.2, "final baggage header");
     assert_eq!(a.3, b.3, "lineage-plane stats");
+}
+
+/// What the lineage path allocates, by count: key buffers for decoding a
+/// 1-dep and a 64-dep canonical lineage, and dep-vector copies for eight shim
+/// writes on a lineage nobody else holds.
+fn allocation_counts() -> (u64, u64, u64) {
+    let decode_key_buffers = |deps: u64| {
+        let mut l = Lineage::new(LineageId(deps));
+        for i in 0..deps {
+            l.append(WriteId::new(
+                NAMES[i as usize % NAMES.len()],
+                format!("key-{i}"),
+                i + 1,
+            ));
+        }
+        let wire = l.serialize();
+        let before = stats::snapshot();
+        let back = Lineage::deserialize(&wire).expect("canonical");
+        let after = stats::snapshot();
+        assert_eq!(back, l);
+        assert_eq!(after.canonical_decodes, before.canonical_decodes + 1);
+        after.key_buffers - before.key_buffers
+    };
+    let (one, sixty_four) = (decode_key_buffers(1), decode_key_buffers(64));
+
+    let sim = Sim::new(5);
+    let net = Rc::new(Network::global_triangle());
+    let store = KvStore::new(&sim, net, "posts", &[EU, US], KvProfile::default());
+    let shim = KvShim::new(store);
+    stats::reset();
+    sim.block_on(async move {
+        let mut lineage = Lineage::new(LineageId(1));
+        for i in 0..8 {
+            shim.write(EU, &format!("post-{i}"), Bytes::new(), &mut lineage)
+                .await
+                .expect("EU configured");
+        }
+        assert_eq!(lineage.len(), 8);
+    });
+    (one, sixty_four, stats::snapshot().cow_dep_clones)
+}
+
+#[test]
+fn the_lineage_path_allocates_per_lineage_not_per_dependency() {
+    let a = thread::spawn(allocation_counts).join().unwrap();
+    let b = thread::spawn(allocation_counts).join().unwrap();
+    // One key buffer per decoded lineage whatever its size (a key `Rc` per
+    // dependency would read 1 and 64), and one dep-vector copy — the first
+    // append, off the shared empty vector — for any number of shim writes
+    // (a clone held across each write would read 8).
+    assert_eq!(a, (1, 1, 1));
+    assert_eq!(a, b, "the counts repeat");
 }
 
 #[test]
