@@ -27,23 +27,19 @@ fn main() {
     let t = &baseline.timing;
     println!("[artifact] {path}");
     println!(
-        "deterministic: writes={} fanout_events={} (unbatched {}) send_entries={} applies={} wal={}B/{} appends slab_allocated={} slab_reused={}",
+        "deterministic: writes={} fanout_events={} send_entries={} applies={} wal={}B/{} appends max_batch={}",
         d.writes,
         d.fanout_events,
-        d.unbatched_fanout_events,
         d.send_entries,
         d.applies,
         d.wal_bytes,
         d.wal_appends,
-        d.slab_allocated,
-        d.slab_reused,
+        d.max_batch,
     );
     println!(
-        "timing: hop={:.1}ns ({:.0} hops/s) unbatched={:.1}ns speedup={:.2}x commits/s={:.0} fanout_events/s={:.0} wal/commit={:.1}B crc/commit={:.1}ns avg_batch={:.1}",
-        t.batched_hop_ns,
+        "timing: hop={:.1}ns ({:.0} hops/s) commits/s={:.0} fanout_events/s={:.0} wal/commit={:.1}B crc/commit={:.1}ns avg_batch={:.1}",
+        t.hop_ns,
         t.hop_ops_per_sec,
-        t.unbatched_hop_ns,
-        t.batching_speedup,
         t.commits_per_sec,
         t.fanout_events_per_sec,
         t.wal_bytes_per_commit,

@@ -7,18 +7,15 @@
 //! - [`EngineDeterministicMetrics`] — structural counters from a fixed
 //!   write workload: engine counters ([`antipode_store::EngineStats`]:
 //!   commits, fan-out flusher wakes, send entries, applies, WAL
-//!   appends/bytes, batch sizes) plus the slab counters
-//!   ([`antipode_store::SlabStats`]) that prove the zero-allocation
-//!   steady-state claim. Integer-only and byte-identical across same-seed
-//!   runs on any machine — CI diffs this section against the committed
-//!   artifact.
-//! - [`EngineTimingMetrics`] — wall-clock ns per replicated write, for the
-//!   batched fan-out and the unbatched ablation of the same workload.
+//!   appends/bytes, entries per wake). Integer-only and byte-identical
+//!   across same-seed runs on any machine — CI diffs this section against
+//!   the committed artifact.
+//! - [`EngineTimingMetrics`] — wall-clock ns per replicated write.
 //!   Machine-dependent, never asserted on.
 //!
 //! A *hop* here is one fully replicated write: commit at the origin, fan
 //! out to every other replica, apply (with WAL append) at each. The
-//! headline comparison is `batched_hop_ns` against the lineage plane's
+//! headline comparison is `hop_ns` here against the lineage plane's
 //! `hop_ns` in `BENCH_lineage.json` — the engine pipeline moves a write
 //! end-to-end across three regions in a fraction of what one baggage
 //! header hop used to cost.
@@ -31,7 +28,7 @@ use antipode_sim::dist::Dist;
 use antipode_sim::net::regions::{EU, SG, US};
 use antipode_sim::net::Network;
 use antipode_sim::{Region, Sim};
-use antipode_store::{slab, stats, Envelope, KvProfile, KvStore};
+use antipode_store::{stats, EngineStats, Envelope, KvProfile, KvStore};
 use bytes::Bytes;
 use serde::Serialize;
 
@@ -42,16 +39,15 @@ const REGIONS: [Region; 3] = [EU, US, SG];
 
 /// Concurrent writers. Each writer is a persistent client task issuing
 /// sequential puts; with constant commit latency every writer's n-th put
-/// commits at the same virtual instant, so this is also the offered batch
-/// size per (origin, dest) replication pair (writers are spread over the
-/// regions).
+/// commits at the same virtual instant, so a third of them (writers are
+/// spread over the regions) share each (origin, dest) pair's wake.
 pub const DEFAULT_WRITERS: usize = 256;
 /// Sequential puts per writer (one warmup put per writer runs first and
 /// is not counted). Sized so one repetition's measured window fits inside
 /// a host scheduling quantum — the minimum over repetitions then has a
 /// real chance of observing an unpreempted run on a busy machine.
 pub const DEFAULT_ROUNDS: usize = 16;
-/// Timing repetitions per mode; the reported wall time is the minimum
+/// Timing repetitions; the reported wall time is the minimum
 /// (the run least disturbed by the host machine). Deterministic counters
 /// are asserted identical across repetitions.
 pub const DEFAULT_REPS: usize = 15;
@@ -60,9 +56,7 @@ pub const DEFAULT_DEPS: usize = 16;
 
 /// Structural counters from the fixed-seed write workload. Identical
 /// across runs with the same seed, on any machine. All counters cover the
-/// measured rounds only (the warmup round is excluded), for the batched
-/// run — except `unbatched_fanout_events`, the same workload's flusher
-/// wakes with batching disabled.
+/// measured rounds only (the warmup round is excluded).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct EngineDeterministicMetrics {
     /// Replicated writes in the measured rounds.
@@ -79,34 +73,22 @@ pub struct EngineDeterministicMetrics {
     pub wal_appends: u64,
     /// Bytes logged across those appends.
     pub wal_bytes: u64,
-    /// Apply batches handed to replicas.
+    /// Applies that reached a live replica.
     pub batch_flushes: u64,
-    /// Largest apply batch observed.
+    /// Most entries one flusher wake delivered.
     pub max_batch: u64,
-    /// Scratch buffers allocated during the measured rounds — the
-    /// zero-allocation steady-state claim is exactly `slab_allocated == 0`.
-    pub slab_allocated: u64,
-    /// Scratch buffers recycled from the slab during the measured rounds.
-    pub slab_reused: u64,
-    /// Flusher wakes for the identical workload with batching disabled
-    /// (the determinism ablation): the event count batching amortizes.
-    pub unbatched_fanout_events: u64,
 }
 
 /// Wall-clock measurements, ns per replicated write (machine-dependent).
 #[derive(Clone, Debug, Serialize)]
 pub struct EngineTimingMetrics {
-    /// One replicated write, batched fan-out (the default engine).
-    pub batched_hop_ns: f64,
-    /// One replicated write, unbatched ablation (one event per entry).
-    pub unbatched_hop_ns: f64,
-    /// `unbatched_hop_ns / batched_hop_ns`.
-    pub batching_speedup: f64,
-    /// Replicated writes per second implied by `batched_hop_ns`.
+    /// One replicated write.
+    pub hop_ns: f64,
+    /// Replicated writes per second implied by `hop_ns`.
     pub hop_ops_per_sec: f64,
-    /// Commits per second of the batched run.
+    /// Commits per second.
     pub commits_per_sec: f64,
-    /// Fan-out flusher wakes per second of the batched run.
+    /// Fan-out flusher wakes per second.
     pub fanout_events_per_sec: f64,
     /// Average WAL bytes logged per commit (from the deterministic
     /// counters; kept here so the deterministic section stays integral).
@@ -116,11 +98,11 @@ pub struct EngineTimingMetrics {
     /// to (one per replica). Sealing runs off the commit path (the WAL
     /// stages appends and seals at observation, group-commit style), so
     /// this is the deferred flush-side bill per commit — reported next to
-    /// `batched_hop_ns` to keep the integrity plane's overhead visible and
+    /// `hop_ns` to keep the integrity plane's overhead visible and
     /// to show why it must stay off the hop: on the commit path it would
     /// blow the < 5 % hop budget roughly twentyfold.
     pub crc_ns_per_commit: f64,
-    /// Average send entries per flusher wake — the realized batch size.
+    /// Average send entries per flusher wake.
     pub avg_batch: f64,
 }
 
@@ -141,20 +123,18 @@ pub struct EngineBaseline {
     pub timing: EngineTimingMetrics,
 }
 
-/// One run's raw outcome: engine + slab counters over the measured
-/// rounds, and their wall-clock duration.
+/// One run's raw outcome: engine counters over the measured rounds, and
+/// their wall-clock duration.
 struct RunOutcome {
-    engine: antipode_store::EngineStats,
-    slab: antipode_store::SlabStats,
+    engine: EngineStats,
     elapsed: Duration,
 }
 
 fn bench_profile() -> KvProfile {
     // Constant latencies: every write of a round commits at the same
-    // virtual instant and replicates with the same lag, so the pair
-    // queues see the full offered batch. (Jittered profiles spread
-    // deliveries over distinct instants — which batching must preserve
-    // exactly; the chaos suites cover those.)
+    // virtual instant and replicates with the same lag, so a pair's sends
+    // share their wakes. (Jittered profiles give every delivery its own
+    // instant and its own wake; the benchmark workloads cover those.)
     KvProfile {
         local_write: Dist::constant_ms(1.0),
         local_read: Dist::constant_ms(0.5),
@@ -175,8 +155,7 @@ fn bench_network() -> Network {
 /// writer issuing `puts` sequential writes to its own key from its home
 /// region — and drains the sim until all replication has landed. Each
 /// write envelopes the payload under the shared lineage exactly as a shim
-/// write would — the per-write slab bracket the zero-allocation claim is
-/// about. Long-lived clients are the representative shape (a service shim
+/// write would. Long-lived clients are the representative shape (a service shim
 /// issues a stream of writes, not one task per write), and they keep the
 /// harness out of the measurement: the task spawn amortizes over the
 /// writer's whole stream.
@@ -219,16 +198,15 @@ fn run_writers(
 
 /// Runs one warmup put per writer, then `rounds` measured sequential puts
 /// per writer, and returns the measured counters and wall time.
-fn run_workload(seed: u64, writers: usize, rounds: usize, batched: bool) -> RunOutcome {
+fn run_workload(seed: u64, writers: usize, rounds: usize) -> RunOutcome {
     let sim = Sim::new(seed);
     let net = Rc::new(bench_network());
     let store = KvStore::new(&sim, net, "bench-db", &REGIONS, bench_profile());
-    store.set_batching(batched);
 
     // Every write carries a shim-style envelope: the value plus a
     // serialized lineage. The lineage is shared across writes, so its
     // wire form is cached after the first encode and each per-write
-    // envelope encode is a slab-scratch assembly + memcpy.
+    // envelope encode is a scratch assembly + memcpy.
     let lineage: Lineage = build_lineage(seed, DEFAULT_DEPS);
     // Warm the wire cache once: a shim's lineage has already crossed a hop
     // by the time it lands in a write, and clones share the cached wire
@@ -246,12 +224,10 @@ fn run_workload(seed: u64, writers: usize, rounds: usize, batched: bool) -> RunO
     run_writers(&sim, &store, &lineage, &keys, 1);
 
     stats::reset();
-    slab::reset_stats();
     let start = Instant::now();
     run_writers(&sim, &store, &lineage, &keys, rounds);
     let elapsed = start.elapsed();
     let engine = stats::snapshot();
-    let slab = slab::stats();
 
     assert!(
         store.pending_sends() == 0 && store.converged(),
@@ -259,32 +235,19 @@ fn run_workload(seed: u64, writers: usize, rounds: usize, batched: bool) -> RunO
         store.pending_sends(),
         store.converged(),
     );
-    RunOutcome {
-        engine,
-        slab,
-        elapsed,
-    }
+    RunOutcome { engine, elapsed }
 }
 
-/// Runs the batched workload and its unbatched ablation, returning the
-/// combined deterministic counters.
+/// Runs the workload once, returning its deterministic counters.
 pub fn deterministic_workload(
     seed: u64,
     writers: usize,
     rounds: usize,
 ) -> EngineDeterministicMetrics {
-    let batched = run_workload(seed, writers, rounds, true);
-    let unbatched = run_workload(seed, writers, rounds, false);
-    metrics_of(writers, rounds, &batched, &unbatched)
+    metrics_of(writers, rounds, &run_workload(seed, writers, rounds).engine)
 }
 
-fn metrics_of(
-    writers: usize,
-    rounds: usize,
-    batched: &RunOutcome,
-    unbatched: &RunOutcome,
-) -> EngineDeterministicMetrics {
-    let e = &batched.engine;
+fn metrics_of(writers: usize, rounds: usize, e: &EngineStats) -> EngineDeterministicMetrics {
     EngineDeterministicMetrics {
         writes: (writers * rounds) as u64,
         commits: e.commits,
@@ -295,23 +258,19 @@ fn metrics_of(
         wal_bytes: e.wal_bytes,
         batch_flushes: e.batch_flushes,
         max_batch: e.max_batch,
-        slab_allocated: batched.slab.allocated,
-        slab_reused: batched.slab.reused,
-        unbatched_fanout_events: unbatched.engine.fanout_events,
     }
 }
 
-/// Runs `DEFAULT_REPS` repetitions of one mode, asserting the structural
-/// counters replay identically, and returns the repetition with the
-/// smallest wall time (host-noise floor).
-fn best_of(seed: u64, writers: usize, rounds: usize, batched: bool) -> RunOutcome {
+/// Runs `DEFAULT_REPS` repetitions, asserting the structural counters
+/// replay identically, and returns the repetition with the smallest wall
+/// time (host-noise floor).
+fn best_of(seed: u64, writers: usize, rounds: usize) -> RunOutcome {
     let mut best: Option<RunOutcome> = None;
     for _ in 0..DEFAULT_REPS {
-        let rep = run_workload(seed, writers, rounds, batched);
+        let rep = run_workload(seed, writers, rounds);
         if let Some(prev) = &best {
             assert_eq!(
-                (prev.engine, prev.slab),
-                (rep.engine, rep.slab),
+                prev.engine, rep.engine,
                 "same-seed repetitions must replay the same counters"
             );
             if rep.elapsed < prev.elapsed {
@@ -351,19 +310,14 @@ fn measure_crc_ns_per_commit(m: &EngineDeterministicMetrics) -> f64 {
 
 /// Runs the full baseline (deterministic counters + wall-clock timings).
 pub fn run(seed: u64) -> EngineBaseline {
-    let batched = best_of(seed, DEFAULT_WRITERS, DEFAULT_ROUNDS, true);
-    let unbatched = best_of(seed, DEFAULT_WRITERS, DEFAULT_ROUNDS, false);
-    let deterministic = metrics_of(DEFAULT_WRITERS, DEFAULT_ROUNDS, &batched, &unbatched);
+    let best = best_of(seed, DEFAULT_WRITERS, DEFAULT_ROUNDS);
+    let deterministic = metrics_of(DEFAULT_WRITERS, DEFAULT_ROUNDS, &best.engine);
 
-    let writes = deterministic.writes as f64;
-    let batched_hop_ns = batched.elapsed.as_nanos() as f64 / writes;
-    let unbatched_hop_ns = unbatched.elapsed.as_nanos() as f64 / writes;
-    let secs = batched.elapsed.as_secs_f64();
+    let hop_ns = best.elapsed.as_nanos() as f64 / deterministic.writes as f64;
+    let secs = best.elapsed.as_secs_f64();
     let timing = EngineTimingMetrics {
-        batched_hop_ns,
-        unbatched_hop_ns,
-        batching_speedup: unbatched_hop_ns / batched_hop_ns,
-        hop_ops_per_sec: 1e9 / batched_hop_ns,
+        hop_ns,
+        hop_ops_per_sec: 1e9 / hop_ns,
         commits_per_sec: deterministic.commits as f64 / secs,
         fanout_events_per_sec: deterministic.fanout_events as f64 / secs,
         wal_bytes_per_commit: deterministic.wal_bytes as f64 / deterministic.commits as f64,
@@ -407,29 +361,14 @@ mod tests {
     }
 
     #[test]
-    fn batching_amortizes_fanout_events() {
+    fn same_instant_sends_share_a_wake() {
         let m = deterministic_workload(5, WRITERS, ROUNDS);
-        // Unbatched pays at least one flusher wake per send entry; the
-        // batched run must consume several times fewer events.
-        assert!(m.unbatched_fanout_events >= m.send_entries);
         assert!(
-            m.fanout_events * 4 <= m.unbatched_fanout_events,
-            "batching must amortize events: batched {} vs unbatched {}",
+            m.fanout_events * 4 <= m.send_entries,
+            "a constant-latency fleet must share wakes: {} wakes for {} sends",
             m.fanout_events,
-            m.unbatched_fanout_events,
+            m.send_entries,
         );
-        assert!(m.max_batch > 1, "rounds must actually batch");
-    }
-
-    #[test]
-    fn steady_state_hops_do_not_allocate() {
-        let m = deterministic_workload(5, WRITERS, ROUNDS);
-        // The warmup round fills the slab; every measured envelope encode
-        // must recycle.
-        assert_eq!(
-            m.slab_allocated, 0,
-            "steady-state hops must not allocate scratch: {m:?}"
-        );
-        assert!(m.slab_reused > 0);
+        assert!(m.max_batch > 1, "a wake must deliver more than one entry");
     }
 }

@@ -25,7 +25,7 @@ use antipode_sim::sync::oneshot;
 use antipode_sim::{Region, Sim, SimTime};
 use bytes::Bytes;
 
-use crate::batch::PairQueue;
+use crate::fanout::PairQueue;
 use crate::probe::{VisibilityEvent, VisibilityProbe};
 use crate::recovery::{Hint, RecoveryConfig, WalEntry};
 use crate::stats;
@@ -48,19 +48,6 @@ pub struct Record {
     /// Virtual time the write committed at its origin (preserved across
     /// hint flushes, WAL replay, and anti-entropy back-fills).
     pub committed_at: SimTime,
-}
-
-/// One delivery handed to [`Engine::apply_batch`]: a send entry that
-/// completed transit. `key`/`bytes` are refcount bumps off the commit's
-/// allocations, so a steady-state apply allocates nothing.
-pub(crate) struct ApplyItem {
-    pub(crate) key: Rc<str>,
-    pub(crate) version: u64,
-    pub(crate) bytes: Bytes,
-    pub(crate) committed_at: SimTime,
-    /// Origin crash epoch captured at commit (checked per batch before
-    /// delivery; unused on the direct-apply paths).
-    pub(crate) origin_epoch: u64,
 }
 
 /// Integrity standing of one replica, as judged by WAL verification (crash
@@ -330,15 +317,8 @@ pub(crate) struct EngineInner<S: Substrate> {
     pub(crate) hints: RefCell<Vec<Hint>>,
     /// Optional observation hook for dynamic analysis (race detection).
     pub(crate) probe: RefCell<Option<VisibilityProbe>>,
-    /// Per-(origin, dest) send queues; see [`crate::batch`].
+    /// Per-(origin, dest) send queues; see [`crate::fanout`].
     pub(crate) pairs: RefCell<BTreeMap<(Region, Region), PairQueue>>,
-    /// Batched fan-out (default) vs the one-event-per-entry ablation.
-    pub(crate) batching: Cell<bool>,
-    /// Reusable delivery scratch for [`crate::batch`] flushes (taken/replaced
-    /// around each flush, so steady-state flushes allocate nothing).
-    pub(crate) deliver_scratch: RefCell<Vec<ApplyItem>>,
-    /// Reusable (newly_inserted, watermark) scratch for apply batches.
-    pub(crate) apply_outcomes: RefCell<Vec<(bool, u64)>>,
 }
 
 /// The shared replication engine; see the module docs. Parameterized by the
@@ -387,9 +367,6 @@ impl<S: Substrate> Engine<S> {
                 hints: RefCell::new(Vec::new()),
                 probe: RefCell::new(None),
                 pairs: RefCell::new(BTreeMap::new()),
-                batching: Cell::new(true),
-                deliver_scratch: RefCell::new(Vec::new()),
-                apply_outcomes: RefCell::new(Vec::new()),
             }),
         };
         crate::recovery::spawn_monitor(&engine);
@@ -459,13 +436,6 @@ impl<S: Substrate> Engine<S> {
                 key,
             ]));
         }
-    }
-
-    /// Toggles batched fan-out. `false` is the determinism ablation: the
-    /// same pair-queue machinery, but every entry costs one executor event —
-    /// identical traces, unbatched event counts (see [`crate::batch`]).
-    pub(crate) fn set_batching(&self, on: bool) {
-        self.inner.batching.set(on);
     }
 
     pub(crate) fn check_region(&self, region: Region) -> Result<(), StoreError> {
@@ -602,9 +572,12 @@ impl<S: Substrate> Engine<S> {
         Ok(version)
     }
 
-    /// Applies one record at a replica — the single-delivery path used by
-    /// hint flushes, anti-entropy back-fills, and test plumbing. Hot-path
-    /// deliveries go through [`Engine::apply_batch`] directly.
+    /// Applies one record at a replica: a replication delivery, a hint
+    /// flush, an anti-entropy back-fill, or the origin's own copy at commit.
+    /// An out-of-order (superseded) arrival still satisfies waiters but does
+    /// not clobber newer data, and a record addressed to a crashed replica is
+    /// dropped (the process is dead; anti-entropy repair back-fills it after
+    /// restart).
     pub(crate) fn apply(
         &self,
         region: Region,
@@ -613,110 +586,75 @@ impl<S: Substrate> Engine<S> {
         value: Bytes,
         committed_at: SimTime,
     ) {
-        let mut items = self.inner.deliver_scratch.take();
-        items.clear();
-        items.push(ApplyItem {
-            key: Rc::clone(key),
-            version,
-            bytes: value,
-            committed_at,
-            origin_epoch: 0,
-        });
-        self.apply_batch(region, &mut items);
-        self.inner.deliver_scratch.replace(items);
-    }
-
-    /// Applies a batch of records at one replica: one crash check, one
-    /// replica-map borrow, and one WAL index pass for the whole batch, then
-    /// the substrate's per-record reactions. Semantically identical to
-    /// applying the items one at a time in order — out-of-order (superseded)
-    /// arrivals still satisfy waiters but do not clobber newer data, and
-    /// records addressed to a crashed replica are dropped (the process is
-    /// dead; anti-entropy repair back-fills them after restart). Drains
-    /// `items`.
-    pub(crate) fn apply_batch(&self, region: Region, items: &mut Vec<ApplyItem>) {
-        if items.is_empty() {
-            return;
-        }
         let now = self.inner.sim.now();
         if self
             .inner
             .faults
             .replica_crashed(now, &self.inner.name, region)
         {
-            items.clear();
             return;
         }
-        stats::count_batch_flush(items.len() as u64);
-        // One fault-plan probe per batch: inside a LostAppend window every
-        // append this batch would make silently vanishes (memtable and acks
-        // are unaffected — that is the point of the fault).
+        // `batch_flushes`: applies that reached a live replica.
+        stats::count_batch_flushes(1);
+        // Inside a LostAppend window the append silently vanishes (memtable
+        // and acks are unaffected — that is the point of the fault).
         let wal_enabled = self.inner.recovery.get().wal
             && !self.inner.faults.append_lost(now, &self.inner.name, region);
-        // Families that never pre-log at commit can skip the WAL dedupe
-        // index (see `wal_append_fresh`).
-        let fresh_log = self.inner.substrate.origin_applies_at_commit();
-        let mut outcomes = self.inner.apply_outcomes.take();
-        outcomes.clear();
-        {
+        let (newly_inserted, watermark) = {
             let mut replicas = self.inner.replicas.borrow_mut();
             // Sends only target configured replicas; treat a miss as a
             // dropped message rather than tearing the run down.
             let Some(state) = replicas.get_mut(&region) else {
-                items.clear();
-                self.inner.apply_outcomes.replace(outcomes);
                 return;
             };
-            let unassigned = self.inner.next_version.get();
-            for item in items.iter() {
-                self.note_key_access(region, &item.key);
-                if item.version < state.collected_below {
-                    // Delivered at every replica long ago and dropped: a
-                    // late hint flush or back-fill must not deliver it
-                    // again. Nobody can be parked on it either — the
-                    // collection woke them.
-                    outcomes.push((false, item.version));
-                    continue;
-                }
-                state.applied.mark(item.version, unassigned);
-                // One probe per record: the entry resolves superseded-vs-
-                // fresh, performs the insert, and yields the watermark.
+            self.note_key_access(region, key);
+            let outcome = if version < state.collected_below {
+                // Delivered at every replica long ago and dropped: a late
+                // hint flush or back-fill must not deliver it again. Nobody
+                // can be parked on it either — the collection woke them.
+                (false, version)
+            } else {
+                state.applied.mark(version, self.inner.next_version.get());
+                // One probe: the entry resolves superseded-vs-fresh,
+                // performs the insert, and yields the watermark.
                 let record = || Record {
-                    version: item.version,
-                    bytes: item.bytes.clone(),
+                    version,
+                    bytes: value.clone(),
                     visible_at: now,
-                    committed_at: item.committed_at,
+                    committed_at,
                 };
-                let (newly_inserted, watermark) = match state.data.entry(&item.key) {
-                    Entry::Occupied(existing) if existing.version >= item.version => {
+                let (newly_inserted, watermark) = match state.data.entry(key) {
+                    Entry::Occupied(existing) if existing.version >= version => {
                         (false, existing.version)
                     }
                     Entry::Occupied(existing) => {
                         *existing = record();
-                        (true, item.version)
+                        (true, version)
                     }
                     Entry::Vacant(slot) => {
                         slot.insert(record());
-                        (true, item.version)
+                        (true, version)
                     }
                 };
                 if newly_inserted && wal_enabled {
                     let entry = WalEntry {
-                        key: Rc::clone(&item.key),
-                        version: item.version,
-                        bytes: item.bytes.clone(),
+                        key: Rc::clone(key),
+                        version,
+                        bytes: value.clone(),
                         visible_at: now,
-                        committed_at: item.committed_at,
+                        committed_at,
                     };
-                    if fresh_log {
+                    // Families that never pre-log at commit can skip the WAL
+                    // dedupe index (see `wal_append_fresh`).
+                    if self.inner.substrate.origin_applies_at_commit() {
                         state.wal_append_fresh(entry);
                     } else {
                         state.wal_append(entry);
                     }
                 }
-                state.waiters.wake_satisfied(&item.key, watermark);
-                outcomes.push((newly_inserted, watermark));
-            }
+                state.waiters.wake_satisfied(key, watermark);
+                (newly_inserted, watermark)
+            };
             if self.inner.substrate.reclaims_delivered() {
                 // Versions start at 1, so the batches are whole intervals.
                 let collected = state.collected_below.max(1);
@@ -725,25 +663,22 @@ impl<S: Substrate> Engine<S> {
                     self.collect_delivered(&mut replicas, collected, frontier);
                 }
             }
-        }
+            outcome
+        };
+        stats::count_applies(1);
         let probe = self.inner.probe.borrow().clone();
-        stats::count_applies(items.len() as u64);
-        for (item, &(newly_inserted, watermark)) in items.iter().zip(outcomes.iter()) {
-            self.inner.substrate.on_apply(&ApplyCtx {
-                store: &self.inner.name,
-                region,
-                key: &item.key,
-                version: item.version,
-                bytes: &item.bytes,
-                committed_at: item.committed_at,
-                newly_inserted,
-                watermark,
-                at: now,
-                probe: probe.as_ref(),
-            });
-        }
-        items.clear();
-        self.inner.apply_outcomes.replace(outcomes);
+        self.inner.substrate.on_apply(&ApplyCtx {
+            store: &self.inner.name,
+            region,
+            key,
+            version,
+            bytes: &value,
+            committed_at,
+            newly_inserted,
+            watermark,
+            at: now,
+            probe: probe.as_ref(),
+        });
     }
 
     /// Drops the records of versions `from..frontier` at every replica: each

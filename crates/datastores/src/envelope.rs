@@ -5,9 +5,20 @@
 //! tiny length-prefixed framing: `[varint data_len][data][varint lin_len][lineage]`.
 //! Its size overhead is exactly what Table 3 measures.
 
-use antipode_lineage::varint::{get_varint, put_varint, CodecError};
+use std::cell::RefCell;
+
+use antipode_lineage::varint::{get_varint, put_varint, varint_len, CodecError};
 use antipode_lineage::Lineage;
 use bytes::{Buf, Bytes};
+
+/// A scratch buffer that grew past this is dropped after its encode, so one
+/// giant value cannot pin its allocation for the life of the thread.
+const MAX_KEPT_SCRATCH: usize = 1 << 20;
+
+thread_local! {
+    /// Where [`Envelope::encode_parts`] assembles a frame before freezing it.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A data value paired with the (optional) lineage it was written under.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,22 +57,26 @@ impl Envelope {
     /// its write, and the append that follows mutates a sole-holder vector
     /// in place instead of copying it. The lineage part comes from the
     /// lineage's cached wire encoding, so re-encoding an unchanged lineage
-    /// across writes costs a memcpy, not a serialization — and the assembly
-    /// scratch comes from (and returns to) the hot-path [`crate::slab`], so a
-    /// steady-state encode's only allocation is the frozen `Bytes` itself.
+    /// across writes costs a memcpy, not a serialization — and the frame is
+    /// assembled in a kept thread-local scratch buffer, so an encode's only
+    /// allocation is the frozen `Bytes` itself.
     pub fn encode_parts(data: &[u8], lineage: Option<&Lineage>) -> Bytes {
         let lin = lineage.map(Lineage::wire_bytes);
-        let lin_len = lin.as_ref().map_or(0, |l| l.len());
-        let mut buf = crate::slab::take(data.len() + lin_len + 10);
-        put_varint(&mut buf, data.len() as u64);
-        buf.extend_from_slice(data);
-        put_varint(&mut buf, lin_len as u64);
-        if let Some(l) = lin {
-            buf.extend_from_slice(&l);
-        }
-        let frozen = Bytes::copy_from_slice(&buf);
-        crate::slab::give(buf);
-        frozen
+        // No lineage is stored as a zero-length one.
+        let lin: &[u8] = lin.as_deref().unwrap_or_default();
+        SCRATCH.with(|scratch| {
+            let mut buf = scratch.borrow_mut();
+            buf.clear();
+            put_varint(&mut *buf, data.len() as u64);
+            buf.extend_from_slice(data);
+            put_varint(&mut *buf, lin.len() as u64);
+            buf.extend_from_slice(lin);
+            let frozen = Bytes::copy_from_slice(&buf);
+            if buf.capacity() > MAX_KEPT_SCRATCH {
+                *buf = Vec::new();
+            }
+            frozen
+        })
     }
 
     /// Decodes a stored byte representation.
@@ -88,7 +103,14 @@ impl Envelope {
     /// Bytes the envelope adds on top of the raw value — the per-object
     /// overhead Table 3 reports (before store-specific amplification).
     pub fn overhead(&self) -> usize {
-        self.encode().len() - self.data.len()
+        Envelope::overhead_of(self.data.len(), self.lineage.as_ref())
+    }
+
+    /// [`Envelope::overhead`] of a `data_len`-byte value written under
+    /// `lineage`: the two length prefixes and the lineage's wire form.
+    pub(crate) fn overhead_of(data_len: usize, lineage: Option<&Lineage>) -> usize {
+        let lin_len = lineage.map_or(0, Lineage::wire_size);
+        varint_len(data_len as u64) + varint_len(lin_len as u64) + lin_len
     }
 }
 

@@ -1,44 +1,37 @@
-//! Batched replication fan-out: the engine's hot-path send machinery.
+//! Replication fan-out: the engine's send machinery.
 //!
-//! The original pipeline spawned one executor task per `(write, destination)`
-//! send and paid one wake per retry hop — at million-write scale the
-//! simulator's time is spent in the executor, not the model. This module
-//! replaces per-send tasks with one *pair queue* per `(origin, dest)` region
-//! pair: a commit samples each send's first phase synchronously (same RNG
-//! stream, same draw order as the old spawn-per-send path — the spawned tasks
-//! took their first samples at the commit instant anyway), pushes an entry,
-//! and arms at most one timer wake per pair. When the wake fires, every due
-//! entry of the pair advances in one virtual-time event, and entries that
-//! reached delivery are applied as one batch (`Engine::apply_batch`): one
-//! fault-plan consultation, one replica borrow, one WAL index pass.
+//! One *pair queue* per `(origin, dest)` region pair carries every send in
+//! flight between the two. A commit samples each send's first phase
+//! synchronously, in destination order, pushes an entry, and arms at most
+//! one timer wake per pair. When the wake fires, every entry due at that
+//! instant is popped in `(due, enqueue seq)` order; each is advanced through
+//! its retry state machine and, if it completed transit, delivered before
+//! the next one is looked at (`Engine::apply`, one record at a time).
+//!
+//! Under the catalogue's jittered profiles two sends of one pair all but
+//! never fall due on one nanosecond, so a wake carries one entry; the loop
+//! over due entries is what is left of a batch, and a constant-latency
+//! fleet (`engine_baseline`, `tests/engine_complexity.rs`) still shares its
+//! wakes. DESIGN.md §14.1 records the measurements behind that sizing.
 //!
 //! ## Determinism
 //!
-//! `seed + plan ⇒ identical trace` is preserved, and the unbatched ablation
-//! (`Engine::set_batching(false)`) produces the *same* trace while paying
-//! one executor event per entry:
+//! `seed + plan ⇒ identical trace`:
 //!
-//! - Phase-one samples are drawn at commit time in destination order — in
-//!   both modes, by the same code.
+//! - Phase-one samples are drawn at commit time in destination order.
 //! - Retry/arrival samples are drawn when an entry's `due` instant arrives,
 //!   in `(due, enqueue seq)` order. A wake fires exactly at the queue's
 //!   earliest `due`, so every entry it finds due shares that instant and
-//!   the order reduces to enqueue order. Batched mode pops all due entries
-//!   of a pair in one event; unbatched mode pops exactly one per event and
-//!   immediately re-arms — same entries, same order, same draw sequence.
+//!   the order reduces to enqueue order.
 //! - An entry that re-samples keeps its enqueue seq and sits out the rest
 //!   of the round: it returns to the queue only once no due entry is left,
-//!   so even a zero backoff (`due == now`) defers it to the next round in
-//!   both modes (see `PairQueue`).
-//! - Applies never consume RNG and samples never read replica state, so the
-//!   relative order of "draw for entry B" vs "apply entry A" (the only thing
-//!   the two modes reorder within an instant) is unobservable.
-//! - Fault predicates are pure functions of the plan and the current
-//!   instant, so one per-batch consultation at delivery equals N per-entry
-//!   consultations at the same instant.
+//!   so even a zero backoff (`due == now`) defers it to the next round
+//!   (see `PairQueue`).
+//! - Applies never consume RNG and samples never read replica state, so
+//!   drawing for entry B after applying entry A equals drawing first.
 //!
-//! The satellite suite (`tests/engine_batching.rs`) pins this equivalence on
-//! visibility-probe traces across seeds and chaos plans.
+//! `tests/engine_fanout.rs` pins the order inside a multi-entry wake, the
+//! rounds, and same-seed trace identity under chaos.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -47,7 +40,7 @@ use std::rc::Rc;
 use antipode_sim::{Region, SimTime};
 use bytes::Bytes;
 
-use crate::engine::{ApplyItem, Engine};
+use crate::engine::Engine;
 use crate::recovery::Hint;
 use crate::stats;
 use crate::substrate::{RetryStyle, Substrate};
@@ -68,8 +61,8 @@ pub(crate) enum SendPhase {
     Redeliver,
 }
 
-/// One queued replication send: everything `finish_send` needs, plus the
-/// retry state machine position. `key`/`value` are refcount bumps off the
+/// One queued replication send: what its delivery applies, plus the retry
+/// state machine position. `key`/`value` are refcount bumps off the
 /// commit's allocations — a queued entry allocates nothing of its own.
 pub(crate) struct PendingSend {
     pub(crate) key: Rc<str>,
@@ -111,11 +104,10 @@ impl Eq for PendingSend {}
 ///
 /// Entries live in a heap keyed by `(due, seq)`, so a wake costs
 /// O(due · log depth) instead of a scan of everything in flight. A *round*
-/// is the set of entries due at one instant: batched mode pops a whole
-/// round in one wake, unbatched mode one entry per wake. Entries that
-/// re-sample during a round park in `resampled` and rejoin the heap when the
-/// round is over — never sooner, or a zero-backoff retry would be popped
-/// again ahead of its round-mates in unbatched mode only.
+/// is the set of entries due at one instant, popped by one wake. Entries
+/// that re-sample during a round park in `resampled` and rejoin the heap
+/// when the round is over — never sooner, or a zero-backoff retry would be
+/// drawn for again before its round-mates drew once.
 #[derive(Default)]
 pub(crate) struct PairQueue {
     queue: BinaryHeap<PendingSend>,
@@ -149,9 +141,8 @@ impl PairQueue {
 }
 
 impl<S: Substrate> Engine<S> {
-    /// Replaces the fan-out loop of [`Engine::commit`]: samples each
-    /// destination's first phase (in destination order, the draw order of
-    /// the old spawn-per-send path) and queues one [`PendingSend`] per
+    /// The fan-out of [`Engine::commit`]: samples each destination's first
+    /// phase, in destination order, and queues one [`PendingSend`] per
     /// destination on its pair queue.
     pub(crate) fn enqueue_sends(
         &self,
@@ -266,23 +257,8 @@ impl<S: Substrate> Engine<S> {
         }
     }
 
-    /// Arms (or tightens) the pair's single timer wake to fire at `due`.
-    /// A later-armed wake whose generation was superseded retires silently.
-    fn arm_wake(&self, origin: Region, dest: Region, due: SimTime) {
-        let arm = {
-            let mut pairs = self.inner.pairs.borrow_mut();
-            match pairs.get_mut(&(origin, dest)) {
-                Some(pq) => pq.tighten(due),
-                None => return,
-            }
-        };
-        if let Some(generation) = arm {
-            self.spawn_flusher(origin, dest, due, generation);
-        }
-    }
-
-    /// Spawns the single flusher task for an armed wake; stale generations
-    /// retire without flushing.
+    /// Spawns the single flusher task for an armed wake; a wake whose
+    /// generation was superseded retires without flushing.
     fn spawn_flusher(&self, origin: Region, dest: Region, due: SimTime, generation: u64) {
         let eng = self.clone();
         self.inner.sim.spawn_detached(async move {
@@ -303,115 +279,95 @@ impl<S: Substrate> Engine<S> {
         });
     }
 
-    /// One flusher wake for a pair: advance every due entry (batched) or
-    /// exactly one (the unbatched ablation), then deliver the entries that
-    /// completed as a single apply batch with one fault consultation.
-    pub(crate) fn flush_pair(&self, origin: Region, dest: Region) {
+    /// One flusher wake for a pair: pops every due entry in `(due, seq)`
+    /// order, advances it and, if it completed transit, delivers it; then
+    /// re-arms for the earliest entry left.
+    fn flush_pair(&self, origin: Region, dest: Region) {
         let now = self.inner.sim.now();
-        let batched = self.inner.batching.get();
         stats::count_fanout_events(1);
-        let mut deliver = self.inner.deliver_scratch.take();
-        deliver.clear();
-        // Phase transitions. Due entries pop in (due, seq) order; samples for
-        // later entries may be drawn before earlier entries' applies run
-        // (below), which is unobservable — applies consume no RNG and
-        // samples read no replica state.
-        let next = {
+        let mut visited = 0;
+        let mut delivered = 0;
+        let rearm = loop {
             let mut pairs = self.inner.pairs.borrow_mut();
             let Some(pq) = pairs.get_mut(&(origin, dest)) else {
-                self.inner.deliver_scratch.replace(deliver);
                 return;
             };
-            let mut budget = if batched { usize::MAX } else { 1 };
-            let mut visited = 0;
-            while budget > 0 {
-                let Some(top) = pq.queue.peek_mut() else {
-                    break;
-                };
-                visited += 1;
-                if top.due > now {
-                    break;
+            let top = pq.queue.peek_mut();
+            visited += u64::from(top.is_some());
+            let Some(mut entry) = top.filter(|e| e.due <= now).map(PeekMut::pop) else {
+                // Round over (nothing left due): re-sampled entries rejoin.
+                pq.queue.extend(pq.resampled.drain(..));
+                let due = pq.queue.peek().map(|e| e.due);
+                break due.and_then(|due| Some((due, pq.tighten(due)?)));
+            };
+            let completed = match entry.phase {
+                SendPhase::Transit => true,
+                SendPhase::Retry => {
+                    (entry.phase, entry.due) = self.sample_resample(origin, dest, now);
+                    false
                 }
-                let mut entry = PeekMut::pop(top);
-                budget -= 1;
-                let completed = match entry.phase {
-                    SendPhase::Transit => true,
-                    SendPhase::Retry => {
-                        let (phase, due) = self.sample_resample(origin, dest, now);
-                        entry.phase = phase;
+                SendPhase::Arrive | SendPhase::Redeliver => match self.sample_arrival(now) {
+                    Some(due) => {
+                        entry.phase = SendPhase::Redeliver;
                         entry.due = due;
                         false
                     }
-                    SendPhase::Arrive | SendPhase::Redeliver => match self.sample_arrival(now) {
-                        Some(due) => {
-                            entry.phase = SendPhase::Redeliver;
-                            entry.due = due;
-                            false
-                        }
-                        None => true,
-                    },
-                };
-                if completed {
-                    deliver.push(ApplyItem {
-                        key: entry.key,
-                        version: entry.version,
-                        bytes: entry.value,
-                        committed_at: entry.committed_at,
-                        origin_epoch: entry.origin_epoch,
-                    });
-                } else {
-                    pq.resampled.push(entry);
-                }
+                    None => true,
+                },
+            };
+            if completed {
+                // Not across a delivery: a probe may read `pending_sends`.
+                drop(pairs);
+                delivered += 1;
+                self.deliver(origin, dest, entry, now);
+            } else {
+                pq.resampled.push(entry);
             }
-            stats::count_pair_entries_visited(visited);
-            // Round over (nothing left due): re-sampled entries rejoin.
-            if pq.queue.peek().is_none_or(|e| e.due > now) {
-                pq.queue.extend(pq.resampled.drain(..));
-            }
-            pq.queue.peek().map(|e| e.due)
         };
-        // Terminal step, per batch: one epoch read, one fault-plan
-        // consultation. Entries from a crashed origin epoch are abandoned
-        // (the sending process died); suppressed batches park as hints in
-        // queue order or drop under the no-handoff ablation.
-        if !deliver.is_empty() {
-            stats::count_send_entries(deliver.len() as u64);
-            let origin_epoch_now = self.replica_epoch(origin);
-            deliver.retain(|item| item.origin_epoch == origin_epoch_now);
-            let suppressed = self.inner.substrate.send_suppressed(
-                &self.inner.faults,
-                now,
-                &self.inner.name,
+        stats::count_pair_entries_visited(visited);
+        stats::count_send_entries(delivered);
+        // `max_batch`: the most entries one wake delivered.
+        stats::note_batch_size(delivered);
+        if let Some((due, generation)) = rearm {
+            self.spawn_flusher(origin, dest, due, generation);
+        }
+    }
+
+    /// The terminal step of a send that completed transit. One whose origin
+    /// crashed since the commit is abandoned (the sending process died); one
+    /// the fault plan suppresses, or addressed to a crashed replica, parks as
+    /// a hint — or drops under the no-handoff ablation.
+    fn deliver(&self, origin: Region, dest: Region, entry: PendingSend, now: SimTime) {
+        if entry.origin_epoch != self.replica_epoch(origin) {
+            return;
+        }
+        let suppressed = self.inner.substrate.send_suppressed(
+            &self.inner.faults,
+            now,
+            &self.inner.name,
+            origin,
+            dest,
+        ) || self
+            .inner
+            .faults
+            .replica_crashed(now, &self.inner.name, dest);
+        if !suppressed {
+            self.apply(
+                dest,
+                &entry.key,
+                entry.version,
+                entry.value,
+                entry.committed_at,
+            );
+        } else if self.inner.recovery.get().hinted_handoff {
+            self.inner.hints.borrow_mut().push(Hint {
                 origin,
                 dest,
-            ) || self
-                .inner
-                .faults
-                .replica_crashed(now, &self.inner.name, dest);
-            if !suppressed {
-                self.apply_batch(dest, &mut deliver);
-            } else if self.inner.recovery.get().hinted_handoff {
-                let mut hints = self.inner.hints.borrow_mut();
-                for item in deliver.drain(..) {
-                    hints.push(Hint {
-                        origin,
-                        dest,
-                        key: item.key,
-                        version: item.version,
-                        bytes: item.bytes,
-                        committed_at: item.committed_at,
-                    });
-                }
-            } else {
-                deliver.clear();
-            }
-        }
-        self.inner.deliver_scratch.replace(deliver);
-        // Re-arm for the earliest remaining entry. In unbatched mode
-        // leftover already-due entries re-arm at `now`, costing one executor
-        // event each — the ablation's whole point.
-        if let Some(due) = next {
-            self.arm_wake(origin, dest, due.max(now));
+                key: entry.key,
+                version: entry.version,
+                bytes: entry.value,
+                committed_at: entry.committed_at,
+            });
         }
     }
 

@@ -58,11 +58,11 @@
 #![warn(missing_docs)]
 
 pub mod amq;
-pub mod batch;
 pub mod dynamodb;
 pub mod engine;
 pub mod envelope;
 mod facade;
+mod fanout;
 pub mod mongodb;
 pub mod mysql;
 pub mod probe;
@@ -75,7 +75,6 @@ pub mod repair;
 pub mod replica;
 pub mod s3;
 pub mod shim;
-pub mod slab;
 pub mod sns;
 pub mod speculation;
 pub mod stats;
@@ -98,7 +97,6 @@ pub use repair::{RepairConfig, RepairReport, ScrubReport};
 pub use replica::{KvProfile, KvStore, StoreError, StoredValue};
 pub use s3::{S3Shim, S3};
 pub use shim::{KvShim, QueueShim, ShimError, ShimMessage, ShimSubscription, WaitSemantics};
-pub use slab::SlabStats;
 pub use sns::{Sns, SnsShim};
 pub use speculation::{BufferState, ConfinedOp, ConfinementBuffer};
 pub use stats::EngineStats;

@@ -151,14 +151,6 @@ impl QueueStore {
         self.engine.set_probe(probe);
     }
 
-    /// Toggles batched delivery fan-out (on by default). `false` selects
-    /// the determinism ablation: one virtual-time event per delivery entry
-    /// instead of one per batch — same trace, unbatched event counts (see
-    /// [`crate::batch`]).
-    pub fn set_batching(&self, on: bool) {
-        self.engine.set_batching(on);
-    }
-
     /// Queued-but-undelivered delivery sends (diagnostics).
     pub fn pending_sends(&self) -> usize {
         self.engine.pending_sends()

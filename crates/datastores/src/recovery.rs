@@ -92,7 +92,7 @@ impl RecoveryConfig {
 
 /// One durable write-ahead-log record: an apply that changed the memtable.
 /// The key is a shared `Rc<str>` — one allocation per commit, refcount
-/// bumps everywhere else (WAL, index, memtable, hints, batch entries).
+/// bumps everywhere else (WAL, index, memtable, hints, queued sends).
 #[derive(Clone, Debug)]
 pub struct WalEntry {
     /// The written key.

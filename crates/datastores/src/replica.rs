@@ -135,14 +135,6 @@ impl KvStore {
             .apply(region, &Rc::from(key), version, value, committed_at);
     }
 
-    /// Toggles batched replication fan-out (on by default). `false` selects
-    /// the determinism ablation: the same pair-queue machinery, paying one
-    /// virtual-time event per send entry instead of one per batch — same
-    /// trace, unbatched event counts (see [`crate::batch`]).
-    pub fn set_batching(&self, on: bool) {
-        self.engine.set_batching(on);
-    }
-
     /// Queued-but-undelivered replication sends (diagnostics).
     pub fn pending_sends(&self) -> usize {
         self.engine.pending_sends()

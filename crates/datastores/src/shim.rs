@@ -116,7 +116,7 @@ impl KvShim {
     /// The per-object byte overhead of storing `lineage` with a value — the
     /// envelope framing plus the serialized lineage.
     pub fn envelope_overhead(&self, lineage: &Lineage) -> usize {
-        Envelope::with_lineage(Bytes::new(), lineage.clone()).overhead()
+        Envelope::overhead_of(0, Some(lineage))
     }
 }
 

@@ -3,9 +3,9 @@
 //! Mirrors `antipode_lineage::stats` for the replication engine: the
 //! events that correspond one-to-one with hot-path work in the commit →
 //! fan-out → apply pipeline, tracked as deterministic thread-local counters
-//! so `BENCH_engine.json` can pin them across same-seed runs. The headline
-//! ratio is `send_entries / fanout_events` — the average batch size — which
-//! is exactly the per-write executor cost the batched fan-out amortizes.
+//! so `BENCH_engine.json` can pin them across same-seed runs. The ratio
+//! `send_entries / fanout_events` is the entries one flusher wake carries:
+//! 1 under every catalogue profile (DESIGN.md §14.1).
 
 antipode_lineage::counters! {
     /// A snapshot of the engine-plane counters on this thread.
@@ -13,8 +13,8 @@ antipode_lineage::counters! {
         /// Writes committed (one per `put`/`publish` that assigned a version).
         sum commits => count_commits,
         /// Virtual-time executor events consumed by replication fan-out (flusher
-        /// wakes). Unbatched fan-out pays one per send entry; batching coalesces
-        /// every due entry of an (origin, dest) pair into one.
+        /// wakes): one per instant at which an (origin, dest) pair has entries
+        /// due.
         sum fanout_events => count_fanout_events,
         /// Replication send entries that reached their terminal step (applied,
         /// parked as a hint, or abandoned to a crash epoch).
@@ -33,9 +33,9 @@ antipode_lineage::counters! {
         /// Broker records dropped because every replica had delivered them
         /// (summed over replicas).
         sum queue_records_collected => count_queue_records_collected,
-        /// Batch deliveries (apply batches handed to a replica in one event).
+        /// Applies that reached a live replica (the name is the benchmark's).
         sum batch_flushes => count_batch_flushes,
-        /// Largest apply batch observed.
+        /// Most entries one flusher wake delivered.
         max max_batch => note_batch_size,
         /// WAL records re-verified by scrub sweeps (see
         /// [`crate::repair::ScrubReport`]).
@@ -63,12 +63,6 @@ pub(crate) fn count_wal_append(bytes: u64) {
     count_wal_bytes(bytes);
 }
 
-/// One apply batch of `batch` records handed to a replica.
-pub(crate) fn count_batch_flush(batch: u64) {
-    count_batch_flushes(1);
-    note_batch_size(batch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,8 +79,9 @@ mod tests {
         note_wal_resident(7);
         note_wal_resident(3);
         count_queue_records_collected(2);
-        count_batch_flush(3);
-        count_batch_flush(1);
+        count_batch_flushes(2);
+        note_batch_size(3);
+        note_batch_size(1);
         count_scrub_records(5);
         count_integrity_refusals(1);
         count_pair_entries_visited(4);

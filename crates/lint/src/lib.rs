@@ -16,8 +16,6 @@
 //!   shim write with no reachable `barrier`/checkpoint in the module.
 //! - **X2** `unconfined-speculative-write` — a direct shim write in a
 //!   module that speculates without a `ConfinementBuffer` to roll it back.
-//! - **H1** `hot-path-vec-alloc` — a fresh `Vec` in a per-write hot-path
-//!   module; frames belong in slab scratch brackets.
 //! - **S1** `scheduler-bypass` — a pop/reorder of a scheduler-adjacent
 //!   collection outside the Schedule API in `crates/sim`.
 //! - **W1** `unchecked-wal-read` — a byte-level read of a WAL buffer

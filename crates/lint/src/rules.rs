@@ -24,13 +24,6 @@ pub enum Rule {
     /// `ConfinementBuffer` — a violated speculation could not roll the
     /// write back.
     UnconfinedSpeculativeWrite,
-    /// H1: a fresh `Vec` allocation (`Vec::new`, `Vec::with_capacity`,
-    /// `vec![…]`, `.to_vec()`) in a hot-path module (`envelope.rs`,
-    /// `batch.rs`, `slab.rs`). Envelope and fan-out frames are assembled
-    /// per replicated write; a fresh buffer there is exactly the per-hop
-    /// allocation the slab exists to remove, and it silently breaks the
-    /// `slab_allocated == 0` steady-state claim `BENCH_engine.json` pins.
-    HotPathAlloc,
     /// S1: a pop/reorder of a scheduler-adjacent collection (`ready*`,
     /// `runnable*`, `waiter*`, `waker*`, `task*`, `wake*`) outside the
     /// Schedule API (`crates/sim/src/{executor,schedule}.rs`). Which task
@@ -59,21 +52,19 @@ impl Rule {
             Rule::FaultPathUnwrap => "fault-path-unwrap",
             Rule::UncheckedXcyWrite => "unchecked-xcy-write",
             Rule::UnconfinedSpeculativeWrite => "unconfined-speculative-write",
-            Rule::HotPathAlloc => "hot-path-vec-alloc",
             Rule::SchedulerBypass => "scheduler-bypass",
             Rule::UncheckedWalRead => "unchecked-wal-read",
         }
     }
 
     /// All rules, for reporting.
-    pub fn all() -> [Rule; 8] {
+    pub fn all() -> [Rule; 7] {
         [
             Rule::NondeterministicMap,
             Rule::WallClock,
             Rule::FaultPathUnwrap,
             Rule::UncheckedXcyWrite,
             Rule::UnconfinedSpeculativeWrite,
-            Rule::HotPathAlloc,
             Rule::SchedulerBypass,
             Rule::UncheckedWalRead,
         ]
@@ -119,11 +110,8 @@ pub struct FileContext {
     pub bench: bool,
     /// A fault-path module (`fault.rs`, `replica.rs`, `queue.rs`, `rpc.rs`,
     /// `engine.rs`, `substrate.rs`, `recovery.rs`, `repair.rs`,
-    /// `speculation.rs`, `batch.rs`, `slab.rs`).
+    /// `speculation.rs`, `fanout.rs`).
     pub fault_path: bool,
-    /// A per-write hot-path module (`envelope.rs`, `batch.rs`, `slab.rs`)
-    /// — subject to H1's no-fresh-`Vec` discipline.
-    pub hot_path: bool,
     /// Application code (`crates/apps`) — subject to X1.
     pub app: bool,
     /// The Schedule API's home (`crates/sim/src/{executor,schedule}.rs`) —
@@ -163,13 +151,8 @@ impl FileContext {
                         | "recovery.rs"
                         | "repair.rs"
                         | "speculation.rs"
-                        | "batch.rs"
-                        | "slab.rs"
+                        | "fanout.rs"
                 )
-            ),
-            hot_path: matches!(
-                comps.last().copied(),
-                Some("envelope.rs" | "batch.rs" | "slab.rs")
             ),
             app: crate_name == Some("apps"),
             scheduler_api: crate_name == Some("sim")
@@ -367,24 +350,6 @@ pub fn lint_source(file: &str, source: &str, ctx: &FileContext) -> Vec<Finding> 
                     );
                 }
             }
-            if ctx.hot_path {
-                let hit = ["Vec::new", "Vec::with_capacity", "vec!"]
-                    .iter()
-                    .find(|p| code.contains(**p))
-                    .map(|s| s.to_string())
-                    .or_else(|| code.contains(".to_vec()").then(|| ".to_vec()".to_string()));
-                if let Some(tok) = hit {
-                    push(
-                        Rule::HotPathAlloc,
-                        idx,
-                        format!("`{tok}` in a hot-path module — a fresh Vec per envelope/fan-out frame is the per-write allocation the slab removes"),
-                        "assemble the frame in a slab scratch bracket \
-                         (`slab::take(cap)` … `slab::give(buf)`); if this is \
-                         genuinely cold setup or the pool's own miss path, \
-                         waive with `// lint: allow(hot-path-vec-alloc, <why>)`",
-                    );
-                }
-            }
             if ctx.deterministic && !ctx.scheduler_api {
                 if let Some((recv, op)) = scheduler_mutation(code) {
                     push(
@@ -489,14 +454,12 @@ mod tests {
         assert!(c.deterministic && c.fault_path);
         let c = FileContext::classify("crates/datastores/src/substrate.rs");
         assert!(c.deterministic && c.fault_path);
-        let c = FileContext::classify("crates/datastores/src/batch.rs");
-        assert!(c.deterministic && c.fault_path && c.hot_path);
-        let c = FileContext::classify("crates/datastores/src/slab.rs");
-        assert!(c.deterministic && c.fault_path && c.hot_path);
+        let c = FileContext::classify("crates/datastores/src/fanout.rs");
+        assert!(c.deterministic && c.fault_path);
         let c = FileContext::classify("crates/datastores/src/envelope.rs");
-        assert!(c.deterministic && c.hot_path && !c.fault_path);
+        assert!(c.deterministic && !c.fault_path);
         let c = FileContext::classify("crates/apps/src/social.rs");
-        assert!(c.app && !c.hot_path);
+        assert!(c.app);
         let c = FileContext::classify("crates/core/src/speculation.rs");
         assert!(c.deterministic && c.fault_path);
         let c = FileContext::classify("crates/datastores/src/speculation.rs");
@@ -597,32 +560,6 @@ mod tests {
         );
         assert_eq!(f.len(), 1, "{f:#?}");
         assert_eq!(f[0].rule, Rule::UnconfinedSpeculativeWrite);
-    }
-
-    #[test]
-    fn h1_fires_on_hot_path_vec_allocation() {
-        let ctx = FileContext {
-            deterministic: true,
-            hot_path: true,
-            ..Default::default()
-        };
-        for src in [
-            "let mut buf = Vec::with_capacity(64);\n",
-            "let mut buf = Vec::new();\n",
-            "let frame = vec![0u8; n];\n",
-            "let copy = bytes.to_vec();\n",
-        ] {
-            let f = lint_source("f.rs", src, &ctx);
-            assert_eq!(f.len(), 1, "{src:?}: {f:#?}");
-            assert_eq!(f[0].rule, Rule::HotPathAlloc, "{src:?}");
-        }
-        // Slab brackets and non-hot-path modules are clean.
-        assert!(lint_source("f.rs", "let mut buf = slab::take(64);\n", &ctx).is_empty());
-        let cold = FileContext {
-            deterministic: true,
-            ..Default::default()
-        };
-        assert!(lint_source("f.rs", "let mut buf = Vec::new();\n", &cold).is_empty());
     }
 
     #[test]

@@ -38,14 +38,6 @@ fn app() -> FileContext {
     }
 }
 
-fn hot() -> FileContext {
-    FileContext {
-        deterministic: true,
-        hot_path: true,
-        ..Default::default()
-    }
-}
-
 #[test]
 fn every_rule_fires_exactly_once_on_its_fixture() {
     for (fixture, ctx, rule) in [
@@ -54,7 +46,6 @@ fn every_rule_fires_exactly_once_on_its_fixture() {
         ("d3_fires.rs", fault(), Rule::FaultPathUnwrap),
         ("x1_fires.rs", app(), Rule::UncheckedXcyWrite),
         ("x2_fires.rs", app(), Rule::UnconfinedSpeculativeWrite),
-        ("h1_fires.rs", hot(), Rule::HotPathAlloc),
         ("s1_fires.rs", det(), Rule::SchedulerBypass),
         ("w1_fires.rs", det(), Rule::UncheckedWalRead),
     ] {
@@ -78,7 +69,6 @@ fn waivers_suppress_every_rule() {
         ("d3_waived.rs", fault()),
         ("x1_waived.rs", app()),
         ("x2_waived.rs", app()),
-        ("h1_waived.rs", hot()),
         ("s1_waived.rs", det()),
         ("w1_waived.rs", det()),
     ] {
@@ -138,35 +128,25 @@ fn d3_fires_in_engine_fault_paths() {
     }
 }
 
-/// The engine hot path's batching and slab modules sit on both the fault
-/// path (redelivery/retry phases consult the plan) and the hot path (per-
-/// write frames), so D1, D3, and H1 must all fire there under the *real*
-/// classified contexts.
+/// The fan-out module's redelivery/retry phases consult the fault plan, so
+/// D1 and D3 must both fire there under its *real* classified context.
 #[test]
-fn hot_path_modules_get_d1_d3_and_h1_coverage() {
-    for module in [
-        "crates/datastores/src/batch.rs",
-        "crates/datastores/src/slab.rs",
-    ] {
-        let ctx = FileContext::classify(module);
-        assert!(
-            ctx.deterministic && ctx.fault_path && ctx.hot_path && !ctx.test_file,
-            "{module} must classify as deterministic, fault-path, and hot-path"
-        );
-        let d1 = lint_fixture("d1_fires.rs", ctx);
-        assert_eq!(d1.len(), 1, "{module}: {d1:#?}");
-        assert_eq!(d1[0].rule, Rule::NondeterministicMap, "{module}");
-        let d3 = lint_fixture("d3_engine_fires.rs", ctx);
-        assert_eq!(d3.len(), 1, "{module}: {d3:#?}");
-        assert_eq!(d3[0].rule, Rule::FaultPathUnwrap, "{module}");
-        let h1 = lint_fixture("h1_fires.rs", ctx);
-        assert_eq!(h1.len(), 1, "{module}: {h1:#?}");
-        assert_eq!(h1[0].rule, Rule::HotPathAlloc, "{module}");
-    }
-    // The envelope module is hot-path but not fault-path: H1 applies, D3
-    // does not.
+fn fanout_module_gets_d1_and_d3_coverage() {
+    let module = "crates/datastores/src/fanout.rs";
+    let ctx = FileContext::classify(module);
+    assert!(
+        ctx.deterministic && ctx.fault_path && !ctx.test_file,
+        "{module} must classify as deterministic and fault-path"
+    );
+    let d1 = lint_fixture("d1_fires.rs", ctx);
+    assert_eq!(d1.len(), 1, "{module}: {d1:#?}");
+    assert_eq!(d1[0].rule, Rule::NondeterministicMap, "{module}");
+    let d3 = lint_fixture("d3_engine_fires.rs", ctx);
+    assert_eq!(d3.len(), 1, "{module}: {d3:#?}");
+    assert_eq!(d3[0].rule, Rule::FaultPathUnwrap, "{module}");
+    // The envelope module is not fault-path: D3 does not apply.
     let ctx = FileContext::classify("crates/datastores/src/envelope.rs");
-    assert!(ctx.hot_path && !ctx.fault_path);
+    assert!(!ctx.fault_path);
     assert!(lint_fixture("d3_engine_fires.rs", ctx).is_empty());
 }
 
