@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use antipode::{Antipode, ConsistencyChecker, LineageIdGen, SpeculationConfig, UnknownStorePolicy};
+use antipode::{Antipode, ConsistencyChecker, LineageIdGen, UnknownStorePolicy};
 use antipode_lineage::Lineage;
 use antipode_runtime::{SpecOutcome, SpecStats, SpeculationPolicy, Speculator};
 use antipode_sim::net::regions::{EU, US};
@@ -45,10 +45,10 @@ pub struct SpecCellConfig {
     /// Speculation budget: how long the barrier blocks before proceeding
     /// speculatively.
     pub budget: Duration,
-    /// Confirmation budget: how long an open frontier may wait for its
-    /// dependencies before the speculation is declared violated.
+    /// Confirmation budget: how long an open speculation may wait for its
+    /// dependencies before it is declared violated.
     pub confirm_budget: Duration,
-    /// Per-endpoint cap on concurrently open frontiers.
+    /// Per-endpoint cap on concurrently open speculations.
     pub max_open: usize,
     /// Whether to crash the reader-side S3 replica for [`Self::chaos_window`].
     pub chaos: bool,
@@ -158,10 +158,8 @@ pub fn run_speculation(cfg: &SpecCellConfig) -> SpecCellResult {
         SpeculationPolicy {
             enabled: cfg.speculate,
             max_open: cfg.max_open,
-            barrier: SpeculationConfig {
-                budget: cfg.budget,
-                confirm_budget: cfg.confirm_budget,
-            },
+            budget: cfg.budget,
+            confirm_budget: cfg.confirm_budget,
         },
     );
 

@@ -193,33 +193,16 @@ pub enum BarrierOutcome {
     /// degrade (serve partial data, mark the response stale) and re-arm the
     /// remainder via [`Antipode::rearm`].
     Degraded(DegradedBarrier),
-    /// The budget elapsed and the caller asked to *speculate* past the unmet
-    /// remainder ([`Antipode::barrier_speculative`]): execution may proceed
-    /// immediately, but every externally-visible effect must stay confined
-    /// until the attached [`crate::SpeculationFrontier`] resolves.
-    Speculative(SpeculativeBarrier),
 }
 
 impl BarrierOutcome {
-    /// The telemetry of this outcome: complete, degraded, or the partial
-    /// telemetry of the blocking phase of a speculation.
+    /// The telemetry of this outcome: complete, or the partial telemetry of
+    /// a degraded barrier.
     pub fn report(&self) -> &BarrierReport {
         match self {
             BarrierOutcome::Complete(r) => r,
             BarrierOutcome::Degraded(d) => &d.report,
-            BarrierOutcome::Speculative(s) => &s.report,
         }
-    }
-
-    /// Whether every dependency was enforced.
-    pub fn is_complete(&self) -> bool {
-        matches!(self, BarrierOutcome::Complete(_))
-    }
-
-    /// Whether execution is proceeding past unmet dependencies under an open
-    /// speculation frontier.
-    pub fn is_speculative(&self) -> bool {
-        matches!(self, BarrierOutcome::Speculative(_))
     }
 }
 
@@ -234,30 +217,6 @@ pub struct DegradedBarrier {
     /// Telemetry of the partial enforcement — per-store waits and retries
     /// accumulated up to the moment the budget ran out.
     pub report: BarrierReport,
-    /// The budget that elapsed.
-    pub budget: Duration,
-}
-
-/// A barrier that ran out of budget and *speculated*: execution proceeds
-/// while the [`crate::SpeculationFrontier`] stays open, with all effects
-/// confined until the confirmation watcher resolves it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpeculativeBarrier {
-    /// The open frontier: the unmet dependencies being speculated past, plus
-    /// the resolution the confirmation watcher eventually reaches.
-    pub frontier: crate::speculation::SpeculationFrontier,
-    /// Telemetry of the blocking phase (everything enforced before the
-    /// budget elapsed).
-    pub report: BarrierReport,
-    /// The blocking budget that elapsed before speculating.
-    pub budget: Duration,
-}
-
-/// What the budgeted enforcement core produced: a [`BarrierOutcome`] minus
-/// speculation, which only [`Antipode::barrier_speculative`] layers on top.
-enum Budgeted {
-    Complete(BarrierReport),
-    Degraded(DegradedBarrier),
 }
 
 /// The Antipode client of one service: a shim registry plus the simulation
@@ -409,25 +368,6 @@ impl Antipode {
         region: Region,
         budget: Duration,
     ) -> Result<BarrierOutcome, BarrierError> {
-        Ok(
-            match self.enforce_budgeted(lineage, region, Some(budget)).await? {
-                Budgeted::Complete(report) => BarrierOutcome::Complete(report),
-                Budgeted::Degraded(degraded) => BarrierOutcome::Degraded(degraded),
-            },
-        )
-    }
-
-    /// The core of [`Antipode::barrier_budget`] and [`Antipode::rearm`]:
-    /// enforce within `budget`, or unbounded when it is `None`.
-    async fn enforce_budgeted(
-        &self,
-        lineage: &Lineage,
-        region: Region,
-        budget: Option<Duration>,
-    ) -> Result<Budgeted, BarrierError> {
-        let Some(budget) = budget else {
-            return Ok(Budgeted::Complete(self.barrier(lineage, region).await?));
-        };
         let start = self.sim.now();
         let acc = RefCell::new(BarrierReport::default());
         let enforced = {
@@ -442,12 +382,11 @@ impl Antipode {
         let mut report = acc.into_inner();
         report.blocked = self.sim.now().since(start);
         Ok(match unmet {
-            None => Budgeted::Complete(report),
-            Some(unmet) => Budgeted::Degraded(DegradedBarrier {
+            None => BarrierOutcome::Complete(report),
+            Some(unmet) => BarrierOutcome::Degraded(DegradedBarrier {
                 lineage: lineage.id(),
                 unmet,
                 report,
-                budget,
             }),
         })
     }
@@ -468,20 +407,18 @@ impl Antipode {
         for w in &degraded.unmet {
             remainder.append(w.clone());
         }
+        let mut outcome = match budget {
+            None => BarrierOutcome::Complete(self.barrier(&remainder, region).await?),
+            Some(budget) => self.barrier_budget(&remainder, region, budget).await?,
+        };
+        let report = match &mut outcome {
+            BarrierOutcome::Complete(r) => r,
+            BarrierOutcome::Degraded(d) => &mut d.report,
+        };
         let mut merged = degraded.report.clone();
-        Ok(
-            match self.enforce_budgeted(&remainder, region, budget).await? {
-                Budgeted::Complete(report) => {
-                    merged.merge(&report);
-                    BarrierOutcome::Complete(merged)
-                }
-                Budgeted::Degraded(mut again) => {
-                    merged.merge(&again.report);
-                    again.report = merged;
-                    BarrierOutcome::Degraded(again)
-                }
-            },
-        )
+        merged.merge(report);
+        *report = merged;
+        Ok(outcome)
     }
 
     /// Dry-run mode (§6.3): simulates enforcement without blocking,
@@ -735,7 +672,7 @@ mod tests {
                 .await
                 .unwrap()
         });
-        assert!(outcome.is_complete());
+        assert!(matches!(outcome, BarrierOutcome::Complete(_)));
         assert_eq!(outcome.report().waited_for, 1);
     }
 
@@ -763,7 +700,6 @@ mod tests {
             // Structured outcome: exactly the slow dep is unmet, and the
             // partial telemetry still shows the fast store's enforced wait.
             assert_eq!(degraded.unmet, vec![WriteId::new("slow", "b", 1)]);
-            assert_eq!(degraded.budget, Duration::from_secs(1));
             let fast_wait = degraded
                 .report
                 .waits
@@ -816,7 +752,7 @@ mod tests {
             assert!(second.report.blocked >= Duration::from_secs(3));
             // A final unbounded rearm drains the remainder.
             let done = ap.rearm(&second, HERE, None).await.unwrap();
-            assert!(done.is_complete());
+            assert!(matches!(done, BarrierOutcome::Complete(_)));
             assert!(done.report().blocked >= Duration::from_secs(10) - Duration::from_secs(1));
         });
     }
@@ -894,7 +830,7 @@ mod tests {
                 .await
                 .unwrap()
         });
-        assert!(outcome.is_complete());
+        assert!(matches!(outcome, BarrierOutcome::Complete(_)));
         assert_eq!(outcome.report().blocked, Duration::ZERO);
     }
 

@@ -44,19 +44,17 @@ pub mod ctx;
 pub mod idgen;
 pub mod race;
 pub mod registry;
-pub mod speculation;
 pub mod wait;
 
 pub use barrier::{
     Antipode, BarrierError, BarrierOutcome, BarrierReport, BarrierRetry, DegradedBarrier,
-    DryRunReport, SpeculativeBarrier, StoreWait,
+    DryRunReport, StoreWait,
 };
 pub use checker::{Checkpoint, ConsistencyChecker, LocationStats};
 pub use ctx::LineageCtx;
 pub use idgen::LineageIdGen;
 pub use race::{RaceDetector, RaceFinding, RaceStats, TraceEvent, VisibilityEvent};
 pub use registry::{ShimRegistry, UnknownStorePolicy};
-pub use speculation::{SpecState, SpeculationConfig, SpeculationFrontier, ViolationCause};
 pub use wait::{LocalBoxFuture, WaitError, WaitTarget};
 
 // Re-export the foundation types so applications need only this crate.

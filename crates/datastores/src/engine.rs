@@ -32,7 +32,7 @@ use crate::stats;
 use crate::substrate::{stream_name, Admission, ApplyCtx, StoreError, Substrate};
 use crate::table::{Entry, Table};
 use crate::waiters::WaiterIndex;
-use crate::wal::{WalLog, CHECKPOINT_INTERVAL};
+use crate::wal::{WalFaultKind, WalLog, WalScan, CHECKPOINT_INTERVAL};
 
 /// A record as held by one engine replica. The KV facade re-exposes this as
 /// [`crate::replica::StoredValue`]; the queue facade reads it back as a
@@ -269,6 +269,21 @@ impl ReplicaState {
         }
     }
 
+    /// The one way a replica verifies its log: walks the resident frames
+    /// (checking checksums when `verify`) and, on a fault, truncates the log
+    /// to the verified prefix and rebuilds the dedupe index over it. Returns
+    /// the scan and the kind of fault it stopped at. An intact log, and the
+    /// index that tracks it, are left as they were.
+    pub(crate) fn verify_wal(&mut self, verify: bool) -> (WalScan, Option<WalFaultKind>) {
+        let scan = self.wal.scan(verify);
+        let fault = scan.fault.map(|f| f.kind);
+        if fault.is_some() {
+            self.wal.truncate_to(&scan);
+            self.rebuild_wal_index(scan.entries.iter());
+        }
+        (scan, fault)
+    }
+
     /// Rebuilds the dedupe index from an authoritative record set — called
     /// whenever the log itself was truncated or rewritten, so the index
     /// never vouches for a version the log no longer holds (a stale entry
@@ -456,22 +471,32 @@ impl<S: Substrate> Engine<S> {
             .substrate
             .op_blocked(&self.inner.faults, now, &self.inner.name, region)
         {
-            return Err(StoreError::Unavailable {
-                store: self.inner.name.clone(),
-                region,
-            });
+            return Err(self.unavailable(region));
         }
         // A quarantined replica refuses service: its log hid corruption the
         // replica cannot bound, so nothing it serves can be trusted until
         // anti-entropy back-fills it from healthy peers.
         if self.replica_health(region) == ReplicaHealth::Tainted {
             stats::count_integrity_refusals(1);
-            return Err(StoreError::IntegrityFault {
-                store: self.inner.name.clone(),
-                region,
-            });
+            return Err(self.integrity_fault(region));
         }
         Ok(())
+    }
+
+    /// What a crashed, dark or gated replica answers with.
+    pub(crate) fn unavailable(&self, region: Region) -> StoreError {
+        StoreError::Unavailable {
+            store: self.inner.name.clone(),
+            region,
+        }
+    }
+
+    /// What a quarantined replica answers with.
+    pub(crate) fn integrity_fault(&self, region: Region) -> StoreError {
+        StoreError::IntegrityFault {
+            store: self.inner.name.clone(),
+            region,
+        }
     }
 
     /// Commits a write at `origin` and fans out one send per replica.

@@ -98,7 +98,7 @@ pub use replica::{KvProfile, KvStore, StoreError, StoredValue};
 pub use s3::{S3Shim, S3};
 pub use shim::{KvShim, QueueShim, ShimError, ShimMessage, ShimSubscription, WaitSemantics};
 pub use sns::{Sns, SnsShim};
-pub use speculation::{BufferState, ConfinedOp, ConfinementBuffer};
+pub use speculation::{BufferState, ConfinementBuffer};
 pub use stats::EngineStats;
 pub use substrate::{Admission, ApplyCtx, KvSubstrate, QueueSubstrate, RetryStyle, Substrate};
 pub use wal::{WalFault, WalFaultKind, WalLog, WalScan};

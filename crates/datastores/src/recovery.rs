@@ -19,10 +19,10 @@
 //!   healthy again. Origin-crash drops that origin's queued hints — exactly
 //!   the writes anti-entropy repair exists to back-fill.
 //! - **Waiter hygiene**: visibility waiters subscribed at a replica that
-//!   goes dark are cancelled with [`StoreError::Unavailable`] (instead of
-//!   leaking forever). The KV family surfaces the cancellation so barrier
-//!   retry policies re-arm; the queue family silently resubscribes (queue
-//!   waits never error on faults).
+//!   goes dark are cancelled with [`crate::StoreError::Unavailable`]
+//!   (instead of leaking forever). The KV family surfaces the cancellation
+//!   so barrier retry policies re-arm; the queue family silently
+//!   resubscribes (queue waits never error on faults).
 //!
 //! A fourth mechanism closes the loop with the storage-integrity plane
 //! ([`crate::wal`], [`crate::repair`]): the monitor also applies scheduled
@@ -45,7 +45,8 @@ use antipode_sim::{timeout, Region, SimTime};
 use bytes::Bytes;
 
 use crate::engine::{Engine, Record, ReplicaHealth};
-use crate::substrate::{StoreError, Substrate};
+use crate::substrate::Substrate;
+use crate::waiters::fail_waiters;
 use crate::wal::WalFaultKind;
 
 /// Per-store recovery knobs. Defaults model a production store: durable WAL
@@ -249,12 +250,7 @@ impl<S: Substrate> Engine<S> {
             state.epoch += 1;
             state.waiters.drain_all()
         };
-        for tx in cancelled {
-            let _ = tx.send(Err(StoreError::Unavailable {
-                store: self.inner.name.clone(),
-                region,
-            }));
-        }
+        fail_waiters(cancelled, self.unavailable(region));
         self.inner.hints.borrow_mut().retain(|h| h.origin != region);
     }
 
@@ -276,8 +272,9 @@ impl<S: Substrate> Engine<S> {
     ///   [`StoreError::IntegrityFault`] until anti-entropy back-fills it and
     ///   it rejoins with a bumped epoch.
     ///
-    /// The WAL dedupe index is rebuilt from the *surviving* records, never
-    /// carried over: a stale index entry for a truncated frame would make
+    /// Whenever the log truncates, the WAL dedupe index is rebuilt from the
+    /// *surviving* records (`ReplicaState::verify_wal`, shared with the
+    /// scrub sweep): a stale index entry for a truncated frame would make
     /// the deferred-apply families' dedupe append silently skip re-logging
     /// a version the log no longer holds — a second crash would then lose
     /// it permanently.
@@ -300,15 +297,8 @@ impl<S: Substrate> Engine<S> {
             let Some(state) = replicas.get_mut(&region) else {
                 return;
             };
-            let scan = state.wal.scan(verify);
-            let tainted = match scan.fault.map(|f| f.kind) {
-                Some(WalFaultKind::ChecksumMismatch) => true,
-                Some(WalFaultKind::TornFrame) | None => false,
-            };
-            if scan.fault.is_some() {
-                state.wal.truncate_to(&scan);
-            }
-            state.rebuild_wal_index(scan.entries.iter());
+            let (scan, fault) = state.verify_wal(verify);
+            let tainted = fault == Some(WalFaultKind::ChecksumMismatch);
             for entry in &scan.entries {
                 if !state.holds(&entry.key, entry.version) {
                     state.data.insert(
@@ -338,15 +328,12 @@ impl<S: Substrate> Engine<S> {
             };
             (woken, tainted)
         };
-        for tx in woken {
-            let _ = tx.send(if tainted {
-                Err(StoreError::IntegrityFault {
-                    store: self.inner.name.clone(),
-                    region,
-                })
-            } else {
-                Ok(())
-            });
+        if tainted {
+            fail_waiters(woken, self.integrity_fault(region));
+        } else {
+            for tx in woken {
+                let _ = tx.send(Ok(()));
+            }
         }
     }
 
@@ -361,12 +348,7 @@ impl<S: Substrate> Engine<S> {
                 None => return,
             }
         };
-        for tx in cancelled {
-            let _ = tx.send(Err(StoreError::Unavailable {
-                store: self.inner.name.clone(),
-                region,
-            }));
-        }
+        fail_waiters(cancelled, self.unavailable(region));
     }
 
     /// Flushes every queued hint whose origin→dest path is healthy at `now`,
@@ -425,6 +407,7 @@ mod tests {
 
     use crate::queue::{QueueProfile, QueueStore};
     use crate::replica::{KvProfile, KvStore};
+    use crate::substrate::StoreError;
 
     fn fast_profile() -> KvProfile {
         KvProfile {

@@ -43,7 +43,8 @@ use bytes::Bytes;
 use crate::engine::{Engine, Record, ReplicaHealth};
 use crate::recovery::WalEntry;
 use crate::stats;
-use crate::substrate::{StoreError, Substrate};
+use crate::substrate::Substrate;
+use crate::waiters::fail_waiters;
 use crate::wal::WalFaultKind;
 
 /// Knobs for the periodic anti-entropy loop.
@@ -307,19 +308,13 @@ impl<S: Substrate> Engine<S> {
                 if self.inner.faults.replica_crashed(now, &name, region) {
                     continue;
                 }
-                let scan = state.wal.scan(verify);
+                let (scan, fault) = state.verify_wal(verify);
                 report.verified += scan.entries.len();
                 stats::count_scrub_records(scan.entries.len() as u64);
-                match scan.fault.map(|f| f.kind) {
+                match fault {
                     None => {}
-                    Some(WalFaultKind::TornFrame) => {
-                        state.wal.truncate_to(&scan);
-                        state.rebuild_wal_index(scan.entries.iter());
-                        report.torn_tails += 1;
-                    }
+                    Some(WalFaultKind::TornFrame) => report.torn_tails += 1,
                     Some(WalFaultKind::ChecksumMismatch) => {
-                        state.wal.truncate_to(&scan);
-                        state.rebuild_wal_index(scan.entries.iter());
                         if state.health != ReplicaHealth::Tainted {
                             newly_tainted.push(region);
                         }
@@ -341,12 +336,7 @@ impl<S: Substrate> Engine<S> {
                     None => continue,
                 }
             };
-            for tx in cancelled {
-                let _ = tx.send(Err(StoreError::IntegrityFault {
-                    store: self.inner.name.clone(),
-                    region,
-                }));
-            }
+            fail_waiters(cancelled, self.integrity_fault(region));
         }
         report
     }
@@ -448,6 +438,7 @@ mod tests {
     use crate::queue::{QueueProfile, QueueStore};
     use crate::recovery::RecoveryConfig;
     use crate::replica::{KvProfile, KvStore};
+    use crate::substrate::StoreError;
 
     fn fast_profile() -> KvProfile {
         KvProfile {

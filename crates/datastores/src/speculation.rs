@@ -1,7 +1,7 @@
 //! The speculation plane (datastore half): the confinement buffer.
 //!
-//! A service executing past an open `SpeculationFrontier` must not let its
-//! effects become externally visible — a reader elsewhere could otherwise
+//! A service executing past unmet dependencies must not let its effects
+//! become externally visible — a reader elsewhere could otherwise
 //! observe state that causally depends on writes that are not visible yet,
 //! which is exactly the XCY violation the barrier exists to prevent. The
 //! [`ConfinementBuffer`] is a shim-level redo log: [`KvShim`] writes and
@@ -15,8 +15,6 @@
 //! to a store, so there is nothing to undo and nothing a reader could have
 //! leaked.
 
-use std::fmt;
-
 use antipode_lineage::{Lineage, WriteId};
 use antipode_sim::Region;
 use bytes::Bytes;
@@ -25,7 +23,7 @@ use crate::shim::{KvShim, QueueShim, ShimError};
 
 /// One parked operation in a [`ConfinementBuffer`].
 #[derive(Clone)]
-pub enum ConfinedOp {
+enum ConfinedOp {
     /// A parked [`KvShim::write`].
     KvWrite {
         /// The shim the write will replay through on commit.
@@ -48,36 +46,6 @@ pub enum ConfinedOp {
     },
 }
 
-impl fmt::Debug for ConfinedOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfinedOp::KvWrite {
-                shim, region, key, ..
-            } => f
-                .debug_struct("KvWrite")
-                .field("store", &shim.store().name())
-                .field("region", region)
-                .field("key", key)
-                .finish(),
-            ConfinedOp::QueuePublish { shim, region, .. } => f
-                .debug_struct("QueuePublish")
-                .field("store", &shim.store().name())
-                .field("region", region)
-                .finish(),
-        }
-    }
-}
-
-impl ConfinedOp {
-    /// The datastore this operation targets.
-    pub fn datastore(&self) -> &str {
-        match self {
-            ConfinedOp::KvWrite { shim, .. } => shim.store().name(),
-            ConfinedOp::QueuePublish { shim, .. } => shim.store().name(),
-        }
-    }
-}
-
 /// Lifecycle of a [`ConfinementBuffer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BufferState {
@@ -90,15 +58,15 @@ pub enum BufferState {
     Discarded,
 }
 
-/// A redo log of side effects issued under an open speculation frontier.
+/// A redo log of side effects issued under an open speculation.
 ///
 /// The buffer is deliberately *not* transparent: services opt in by routing
 /// writes through [`ConfinementBuffer::confine_write`] /
 /// [`ConfinementBuffer::confine_publish`] while speculating (the
-/// `antipode-lint` X2 rule flags shim writes reachable from an open frontier
-/// that bypass it). Terminal transitions are idempotent: committing or
-/// discarding an already-resolved buffer is a no-op.
-#[derive(Debug, Default)]
+/// `antipode-lint` X2 rule flags shim writes reachable from an open
+/// speculation that bypass it). Terminal transitions are idempotent:
+/// committing or discarding an already-resolved buffer is a no-op.
+#[derive(Default)]
 pub struct ConfinementBuffer {
     ops: Vec<ConfinedOp>,
     state: BufferState,
@@ -169,11 +137,6 @@ impl ConfinementBuffer {
     /// Current lifecycle state.
     pub fn state(&self) -> BufferState {
         self.state
-    }
-
-    /// The parked operations, in issue order.
-    pub fn ops(&self) -> &[ConfinedOp] {
-        &self.ops
     }
 
     /// Commits the redo log: replays every parked operation *in issue

@@ -96,6 +96,16 @@ impl WaiterIndex {
     }
 }
 
+/// Fails `drained` waiters with `err`, in the order they were drained: the
+/// one way parked waiters learn their replica stopped serving — crashed or
+/// dark ([`StoreError::Unavailable`]), or quarantined
+/// ([`StoreError::IntegrityFault`]).
+pub(crate) fn fail_waiters(drained: Vec<WaiterTx>, err: StoreError) {
+    for tx in drained {
+        let _ = tx.send(Err(err.clone()));
+    }
+}
+
 fn in_subscription_order(mut waiters: Vec<Waiter>) -> Vec<WaiterTx> {
     // lint: allow(scheduler-bypass, visibility waiters are store bookkeeping:
     // the order is their own subscription order, and the woken futures still

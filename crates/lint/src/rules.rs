@@ -19,8 +19,8 @@ pub enum Rule {
     /// X1: a cross-service write through a shim in app code with no
     /// reachable `barrier`/checkpoint in the same module.
     UncheckedXcyWrite,
-    /// X2: a direct shim write in a module that speculates (opens
-    /// speculation frontiers) without routing effects through a
+    /// X2: a direct shim write in a module that speculates (runs handlers
+    /// through a `Speculator`) without routing effects through a
     /// `ConfinementBuffer` — a violated speculation could not roll the
     /// write back.
     UnconfinedSpeculativeWrite,
@@ -166,7 +166,7 @@ impl FileContext {
 const D2_IDENTS: [&str; 3] = ["Instant", "SystemTime", "thread_rng"];
 const X1_CALLS: [&str; 2] = [".write(", ".publish("];
 const X1_CHECKPOINTS: [&str; 4] = ["barrier", "checkpoint", "wait_visible", "wait_acked"];
-const X2_SPECULATION: [&str; 3] = ["barrier_speculative", "SpeculationFrontier", "Speculator"];
+const X2_SPECULATION: [&str; 1] = ["Speculator"];
 const X2_CONFINEMENT: [&str; 3] = ["ConfinementBuffer", "confine_write", "confine_publish"];
 const S1_MUTATIONS: [&str; 8] = [
     ".pop_front(",
@@ -283,8 +283,8 @@ pub fn lint_source(file: &str, source: &str, ctx: &FileContext) -> Vec<Finding> 
                 .any(|id| X1_CHECKPOINTS.iter().any(|c| id.contains(c)))
         });
 
-    // X2 reachability, same module granularity: a module that opens
-    // speculation frontiers must route its shim effects through a
+    // X2 reachability, same module granularity: a module that runs
+    // handlers through a `Speculator` must route its shim effects through a
     // confinement buffer, else a violated speculation cannot roll them
     // back.
     let speculates = (ctx.app || ctx.deterministic)
@@ -460,8 +460,6 @@ mod tests {
         assert!(c.deterministic && !c.fault_path);
         let c = FileContext::classify("crates/apps/src/social.rs");
         assert!(c.app);
-        let c = FileContext::classify("crates/core/src/speculation.rs");
-        assert!(c.deterministic && c.fault_path);
         let c = FileContext::classify("crates/datastores/src/speculation.rs");
         assert!(c.deterministic && c.fault_path);
         let c = FileContext::classify("crates/services/src/speculation.rs");
@@ -534,16 +532,17 @@ mod tests {
             app: true,
             ..Default::default()
         };
-        // A speculating module with a raw shim write (the barrier token
-        // also satisfies X1's checkpoint reachability, isolating X2).
-        let racy = "ap.barrier_speculative(&lin, US, &cfg).await;\n\
+        // A speculating module with a raw shim write (the `barrier_ap`
+        // identifier also satisfies X1's checkpoint reachability,
+        // isolating X2).
+        let racy = "let spec = Speculator::new(barrier_ap, policy);\n\
                     feed_shim.write(US, key, body, lin).await;\n";
         let f = lint_source("f.rs", racy, &ctx);
         assert_eq!(f.len(), 1, "{f:#?}");
         assert_eq!(f[0].rule, Rule::UnconfinedSpeculativeWrite);
         assert_eq!(f[0].line, 2);
         // Same module routed through a confinement buffer: clean.
-        let confined = "ap.barrier_speculative(&lin, US, &cfg).await;\n\
+        let confined = "let spec = Speculator::new(barrier_ap, policy);\n\
                         buf.confine_write(&feed_shim, US, key, body);\n";
         assert!(lint_source("f.rs", confined, &ctx).is_empty());
         // A non-speculating module with the same write only concerns X1.

@@ -87,13 +87,12 @@ fn confined_speculating_module_is_clean() {
     assert!(lint_fixture("x2_confined.rs", app()).is_empty());
 }
 
-/// Every layer of the speculation plane (`crates/{core,datastores,
-/// services}/src/speculation.rs`) sits on the confirmation/rollback fault
+/// Both layers of the speculation plane (`crates/{datastores,
+/// services}/src/speculation.rs`) sit on the confirmation/rollback fault
 /// path, so D3 must fire there under the *real* classified contexts.
 #[test]
 fn d3_covers_the_speculation_modules() {
     for module in [
-        "crates/core/src/speculation.rs",
         "crates/datastores/src/speculation.rs",
         "crates/services/src/speculation.rs",
     ] {

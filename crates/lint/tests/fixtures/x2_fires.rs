@@ -1,12 +1,12 @@
 //! X2 fixture: a speculating module with a raw shim write — fires exactly
-//! once. The `barrier_speculative` call also satisfies X1's checkpoint
+//! once. The `barrier_ap` identifier also satisfies X1's checkpoint
 //! reachability, so the one finding is X2's; the test-module write below
 //! must not fire.
 
-pub async fn render_feed(ap: &Antipode, feed_shim: &KvShim, lin: &mut Lineage) {
-    let out = ap.barrier_speculative(lin, US, &cfg()).await;
+pub async fn render_feed(barrier_ap: Antipode, feed_shim: &KvShim, lin: &mut Lineage) {
+    let spec = Speculator::new(barrier_ap, policy());
     feed_shim.write(US, "feed-1", body(), lin).await.ok();
-    drop(out);
+    drop(spec);
 }
 
 #[cfg(test)]

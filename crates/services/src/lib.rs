@@ -13,9 +13,10 @@
 //! - [`workload`]: the open-loop Poisson driver with latency/throughput
 //!   metrics;
 //! - [`speculation`]: the service half of the speculation plane — a
-//!   [`Speculator`] that runs handlers past heavy-tail barriers with side
-//!   effects confined, commits on confirmation, and rolls back + redelivers
-//!   on violation, governed by per-endpoint caps and a kill switch.
+//!   [`Speculator`] that composes `barrier_budget` and `rearm` to run
+//!   handlers past heavy-tail barriers with side effects confined, commits
+//!   on confirmation, and rolls back + redelivers on violation, governed by
+//!   a per-endpoint cap and [`SpeculationPolicy::enabled`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,27 +1,30 @@
 //! The speculation plane (service half): orchestration, caps, rollback.
 //!
-//! [`Speculator::run`] wraps one handler execution in the full speculative
-//! lifecycle: try a bounded barrier; if dependencies are still unmet,
-//! proceed immediately with every side effect parked in a
-//! [`ConfinementBuffer`]; commit the buffer when the frontier confirms;
-//! discard it and *redeliver* the handler when the speculation is violated.
-//! Redelivery runs behind an unbounded blocking barrier — by the time the
-//! recovery plane heals the fault (WAL replay, hinted handoff), the
-//! dependencies land and the redelivered execution commits like a plain
-//! blocking one.
+//! [`Speculator::run`] is the whole speculative lifecycle, top to bottom, as
+//! a composition of the core's ordinary enforcement calls — there is no
+//! speculative barrier. It tries [`Antipode::barrier_budget`]; if
+//! dependencies are still unmet it spawns the *confirmation* — the degraded
+//! barrier re-armed ([`Antipode::rearm`]) under a `timeout` — and proceeds
+//! immediately with every side effect parked in a [`ConfinementBuffer`]; it
+//! commits the buffer when the confirmation succeeds, and discards it and
+//! *redelivers* the handler when it does not. Redelivery runs behind an
+//! unbounded blocking barrier — by the time the recovery plane heals the
+//! fault (WAL replay, hinted handoff), the dependencies land and the
+//! redelivered execution commits like a plain blocking one.
 //!
 //! Two governors keep speculation an optimization rather than a liability:
-//! a per-endpoint *cap* on concurrently open frontiers (excess requests fall
-//! back to blocking barriers instead of ballooning confinement memory), and
-//! a *kill switch* ([`Speculator::set_enabled`]) that degrades the whole
-//! endpoint to blocking barriers at runtime.
+//! a per-endpoint *cap* on concurrently open speculations (excess requests
+//! fall back to blocking barriers instead of ballooning confinement memory),
+//! and a *kill switch* ([`SpeculationPolicy::enabled`]) that builds the
+//! endpoint with blocking barriers only.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::future::Future;
 use std::rc::Rc;
+use std::time::Duration;
 
-use antipode::{Antipode, BarrierError, BarrierOutcome, SpecState, SpeculationConfig};
+use antipode::{Antipode, BarrierError, BarrierOutcome};
 use antipode_lineage::{Lineage, WriteId};
 use antipode_sim::Region;
 use antipode_store::shim::ShimError;
@@ -30,7 +33,7 @@ use antipode_store::speculation::ConfinementBuffer;
 /// Errors from [`Speculator::run`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpecError {
-    /// A barrier (blocking, speculative, or redelivery) failed hard.
+    /// A barrier (blocking, budgeted, or redelivery) failed hard.
     Barrier(BarrierError),
     /// Committing the confinement buffer failed at a store.
     Commit(ShimError),
@@ -62,11 +65,16 @@ impl From<ShimError> for SpecError {
 pub struct SpeculationPolicy {
     /// Master switch; `false` degrades every request to a blocking barrier.
     pub enabled: bool,
-    /// Maximum concurrently open frontiers for this endpoint. Requests
+    /// Maximum concurrently open speculations for this endpoint. Requests
     /// beyond the cap fall back to blocking barriers.
     pub max_open: usize,
-    /// Blocking and confirmation budgets for the speculative barrier.
-    pub barrier: SpeculationConfig,
+    /// How long the barrier blocks before giving up and speculating — the
+    /// budget handed to [`Antipode::barrier_budget`].
+    pub budget: Duration,
+    /// How long the confirmation keeps enforcing the unmet remainder before
+    /// the speculation is declared violated. Counts from the instant
+    /// `budget` elapsed, not from the end of the handler.
+    pub confirm_budget: Duration,
 }
 
 impl Default for SpeculationPolicy {
@@ -74,7 +82,8 @@ impl Default for SpeculationPolicy {
         SpeculationPolicy {
             enabled: true,
             max_open: 64,
-            barrier: SpeculationConfig::default(),
+            budget: Duration::from_millis(500),
+            confirm_budget: Duration::from_secs(30),
         }
     }
 }
@@ -84,14 +93,15 @@ impl Default for SpeculationPolicy {
 pub struct SpecStats {
     /// Handler executions routed through [`Speculator::run`].
     pub attempts: u64,
-    /// Executions that opened a speculation frontier.
+    /// Executions that ran ahead of unmet dependencies.
     pub speculated: u64,
-    /// Speculations whose frontier confirmed (buffer committed).
+    /// Speculations whose confirmation succeeded (buffer committed).
     pub confirmed: u64,
-    /// Speculations whose frontier violated (buffer discarded).
+    /// Speculations whose confirmation failed or ran out of budget (buffer
+    /// discarded).
     pub violated: u64,
     /// Executions degraded to a blocking barrier by the kill switch or the
-    /// open-frontier cap.
+    /// open-speculation cap.
     pub fell_back: u64,
     /// Violated executions re-run behind a blocking barrier.
     pub redelivered: u64,
@@ -105,14 +115,14 @@ pub struct SpecStats {
 
 struct SpeculatorInner {
     ap: Antipode,
-    policy: RefCell<SpeculationPolicy>,
+    policy: SpeculationPolicy,
     open: RefCell<usize>,
     stats: RefCell<SpecStats>,
 }
 
-/// Runs handler executions under the speculative-barrier lifecycle. Cheap to
-/// clone; clones share the cap, the kill switch, and the stats — one
-/// speculator per service endpoint.
+/// Runs handler executions under the speculative lifecycle. Cheap to clone;
+/// clones share the policy, the open count, and the stats — one speculator
+/// per service endpoint.
 #[derive(Clone)]
 pub struct Speculator {
     inner: Rc<SpeculatorInner>,
@@ -130,8 +140,9 @@ pub enum SpecOutcome<T> {
         /// Writes committed from the confinement buffer.
         committed: Vec<WriteId>,
     },
-    /// The handler ran ahead of an open frontier that then confirmed; the
-    /// confined effects were committed atomically afterwards.
+    /// The handler ran ahead of unmet dependencies that then landed within
+    /// the confirmation budget; the confined effects were committed
+    /// afterwards.
     Confirmed {
         /// Handler result.
         value: T,
@@ -182,25 +193,14 @@ impl Speculator {
         Speculator {
             inner: Rc::new(SpeculatorInner {
                 ap,
-                policy: RefCell::new(policy),
+                policy,
                 open: RefCell::new(0),
                 stats: RefCell::new(SpecStats::default()),
             }),
         }
     }
 
-    /// The kill switch: `false` degrades every subsequent request to a
-    /// blocking barrier (open frontiers keep resolving normally).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.policy.borrow_mut().enabled = enabled;
-    }
-
-    /// Whether speculation is currently enabled.
-    pub fn enabled(&self) -> bool {
-        self.inner.policy.borrow().enabled
-    }
-
-    /// Currently open frontiers started by this speculator.
+    /// Speculations started by this speculator and not yet resolved.
     pub fn open_frontiers(&self) -> usize {
         *self.inner.open.borrow()
     }
@@ -217,8 +217,8 @@ impl Speculator {
     /// into the [`ConfinementBuffer`] it returns — the speculator commits
     /// the buffer once it is safe (appending the fresh write identifiers to
     /// `lineage`) or discards it on violation. Requests hitting the kill
-    /// switch or the open-frontier cap run behind a plain blocking barrier
-    /// instead; their buffers commit immediately after the handler.
+    /// switch or the open-speculation cap run behind a plain blocking
+    /// barrier instead; their buffers commit immediately after the handler.
     pub async fn run<T, F, Fut>(
         &self,
         lineage: &mut Lineage,
@@ -229,88 +229,91 @@ impl Speculator {
         F: Fn(u32) -> Fut,
         Fut: Future<Output = (T, ConfinementBuffer)>,
     {
-        self.inner.stats.borrow_mut().attempts += 1;
-        let (enabled, max_open, cfg) = {
-            let p = self.inner.policy.borrow();
-            (p.enabled, p.max_open, p.barrier.clone())
-        };
-        if !enabled || *self.inner.open.borrow() >= max_open {
-            self.inner.stats.borrow_mut().fell_back += 1;
-            return self.run_blocking(lineage, region, &work).await;
+        let SpeculatorInner {
+            ap,
+            policy,
+            open,
+            stats,
+        } = &*self.inner;
+        stats.borrow_mut().attempts += 1;
+        if !policy.enabled || *open.borrow() >= policy.max_open {
+            stats.borrow_mut().fell_back += 1;
+            ap.barrier(lineage, region).await?;
+            let (value, committed) = self.run_eager(lineage, &work, 0).await?;
+            return Ok(SpecOutcome::Blocking { value, committed });
         }
-        let spec = match self
-            .inner
-            .ap
-            .barrier_speculative(lineage, region, &cfg)
-            .await?
-        {
-            BarrierOutcome::Speculative(s) => s,
+        let degraded = match ap.barrier_budget(lineage, region, policy.budget).await? {
             BarrierOutcome::Complete(_) => {
                 // Dependencies landed within the budget: nothing to confine.
-                let (value, mut buf) = work(0).await;
-                let committed = self.commit(&mut buf, lineage).await?;
+                let (value, committed) = self.run_eager(lineage, &work, 0).await?;
                 return Ok(SpecOutcome::Blocking { value, committed });
             }
-            BarrierOutcome::Degraded(d) => {
-                // `barrier_speculative` never degrades, but stay total:
-                // finish the remainder blocking, then run eagerly.
-                self.inner.ap.rearm(&d, region, None).await?;
-                let (value, mut buf) = work(0).await;
-                let committed = self.commit(&mut buf, lineage).await?;
-                return Ok(SpecOutcome::Blocking { value, committed });
-            }
+            BarrierOutcome::Degraded(d) => d,
         };
-        // Open frontier: run the handler *now*, effects parked.
-        *self.inner.open.borrow_mut() += 1;
-        self.inner.stats.borrow_mut().speculated += 1;
+        // The confirmation is the degraded barrier re-armed under a timeout.
+        // Spawned *before* the handler runs: the confirmation budget counts
+        // from the instant the blocking budget elapsed, and the remainder is
+        // enforced while the handler executes, not after it. A hard barrier
+        // error is a violation like an elapsed budget — the redelivery below
+        // is what surfaces an error that persists.
+        let confirmation = ap.sim().spawn({
+            let ap = ap.clone();
+            let confirm_budget = policy.confirm_budget;
+            async move {
+                let rearmed = ap.rearm(&degraded, region, None);
+                matches!(
+                    antipode_sim::timeout(ap.sim(), confirm_budget, rearmed).await,
+                    Ok(Ok(_))
+                )
+            }
+        });
+        // Run the handler *now*, effects parked.
+        *open.borrow_mut() += 1;
+        stats.borrow_mut().speculated += 1;
         let (value, mut buf) = work(0).await;
         self.note_high_water(&buf);
-        let state = spec.frontier.resolved().await;
-        *self.inner.open.borrow_mut() -= 1;
-        match state {
-            SpecState::Confirmed | SpecState::Open => {
-                self.inner.stats.borrow_mut().confirmed += 1;
-                let committed = self.commit(&mut buf, lineage).await?;
-                Ok(SpecOutcome::Confirmed { value, committed })
-            }
-            SpecState::Violated => {
-                let discarded = buf.discard();
-                {
-                    let mut s = self.inner.stats.borrow_mut();
-                    s.violated += 1;
-                    s.rolled_back_writes += discarded as u64;
-                    s.redelivered += 1;
-                }
-                // Redelivery: an unbounded blocking barrier rides out the
-                // fault (the recovery plane replays the WAL and drains
-                // hints once the store restarts), then the handler re-runs
-                // and its effects commit like a plain blocking execution.
-                self.inner.ap.barrier(lineage, region).await?;
-                let (value, mut buf) = work(1).await;
-                let committed = self.commit(&mut buf, lineage).await?;
-                Ok(SpecOutcome::RolledBack {
-                    value,
-                    committed,
-                    discarded,
-                })
-            }
+        let confirmed = confirmation.await;
+        *open.borrow_mut() -= 1;
+        if confirmed {
+            stats.borrow_mut().confirmed += 1;
+            let committed = self.commit(&mut buf, lineage).await?;
+            return Ok(SpecOutcome::Confirmed { value, committed });
         }
+        let discarded = buf.discard();
+        {
+            let mut s = stats.borrow_mut();
+            s.violated += 1;
+            s.rolled_back_writes += discarded as u64;
+            s.redelivered += 1;
+        }
+        // Redelivery: an unbounded blocking barrier rides out the fault (the
+        // recovery plane replays the WAL and drains hints once the store
+        // restarts), then the handler re-runs and its effects commit like a
+        // plain blocking execution.
+        ap.barrier(lineage, region).await?;
+        let (value, committed) = self.run_eager(lineage, &work, 1).await?;
+        Ok(SpecOutcome::RolledBack {
+            value,
+            committed,
+            discarded,
+        })
     }
 
-    async fn run_blocking<T, F, Fut>(
+    /// Runs the handler with its dependencies enforced and commits its
+    /// buffer straight after.
+    async fn run_eager<T, F, Fut>(
         &self,
         lineage: &mut Lineage,
-        region: Region,
         work: &F,
-    ) -> Result<SpecOutcome<T>, SpecError>
+        attempt: u32,
+    ) -> Result<(T, Vec<WriteId>), SpecError>
     where
         F: Fn(u32) -> Fut,
         Fut: Future<Output = (T, ConfinementBuffer)>,
     {
-        self.inner.ap.barrier(lineage, region).await?;
-        let (value, mut buf) = work(0).await;
+        let (value, mut buf) = work(attempt).await;
         let committed = self.commit(&mut buf, lineage).await?;
-        Ok(SpecOutcome::Blocking { value, committed })
+        Ok((value, committed))
     }
 
     async fn commit(
@@ -340,7 +343,6 @@ mod tests {
     use antipode_store::replica::{KvProfile, KvStore};
     use antipode_store::shim::KvShim;
     use bytes::Bytes;
-    use std::time::Duration;
 
     fn slow_profile() -> KvProfile {
         KvProfile {
@@ -391,11 +393,26 @@ mod tests {
         SpeculationPolicy {
             enabled: true,
             max_open: 64,
-            barrier: SpeculationConfig {
-                budget: Duration::from_millis(budget_ms),
-                confirm_budget: Duration::from_secs(confirm_secs),
-            },
+            budget: Duration::from_millis(budget_ms),
+            confirm_budget: Duration::from_secs(confirm_secs),
         }
+    }
+
+    /// Writes the post in the EU and returns the lineage carrying it.
+    async fn write_post(cell: &Cell) -> Lineage {
+        let mut lineage = Lineage::new(LineageId(1));
+        cell.post
+            .write(EU, "p1", Bytes::from_static(b"post"), &mut lineage)
+            .await
+            .unwrap();
+        lineage
+    }
+
+    /// A handler that confines one feed write and returns its attempt number.
+    async fn render(feed: KvShim, key: &str, attempt: u32) -> (u32, ConfinementBuffer) {
+        let mut buf = ConfinementBuffer::new();
+        buf.confine_write(&feed, US, key, Bytes::from_static(b"p1"));
+        (attempt, buf)
     }
 
     #[test]
@@ -404,27 +421,17 @@ mod tests {
         let spec = Speculator::new(cell.ap.clone(), policy(200, 60));
         let sim = cell.sim.clone();
         sim.block_on(async move {
-            let mut lineage = Lineage::new(LineageId(1));
-            cell.post
-                .write(EU, "p1", Bytes::from_static(b"post"), &mut lineage)
-                .await
-                .unwrap();
+            let mut lineage = write_post(&cell).await;
             let t0 = cell.sim.now();
-            let feed = cell.feed.clone();
             let out = spec
-                .run(&mut lineage, US, |_attempt| {
-                    let feed = feed.clone();
-                    async move {
-                        let mut buf = ConfinementBuffer::new();
-                        buf.confine_write(&feed, US, "feed-p1", Bytes::from_static(b"p1"));
-                        ("rendered", buf)
-                    }
+                .run(&mut lineage, US, |attempt| {
+                    render(cell.feed.clone(), "feed-p1", attempt)
                 })
                 .await
                 .unwrap();
             match &out {
                 SpecOutcome::Confirmed { value, committed } => {
-                    assert_eq!(*value, "rendered");
+                    assert_eq!(*value, 0);
                     assert_eq!(committed.len(), 1);
                     assert!(lineage.contains(&committed[0]));
                 }
@@ -462,27 +469,14 @@ mod tests {
         let checker = ConsistencyChecker::new(cell.ap.clone());
         let sim = cell.sim.clone();
         sim.block_on(async move {
-            let mut lineage = Lineage::new(LineageId(1));
-            cell.post
-                .write(EU, "p1", Bytes::from_static(b"post"), &mut lineage)
-                .await
-                .unwrap();
-            let feed = cell.feed.clone();
-            let checker2 = checker.clone();
-            let lineage_snapshot = lineage.clone();
+            let mut lineage = write_post(&cell).await;
+            let snapshot = lineage.clone();
             let out = spec
-                .run(&mut lineage, US, move |attempt| {
-                    let feed = feed.clone();
-                    let checker = checker2.clone();
-                    let lineage = lineage_snapshot.clone();
-                    async move {
-                        // Speculative evaluation: unmet deps here are not
-                        // observed violations (effects are confined).
-                        checker.checkpoint_speculative("reader:feed", &lineage, US);
-                        let mut buf = ConfinementBuffer::new();
-                        buf.confine_write(&feed, US, "feed-p1", Bytes::from_static(b"p1"));
-                        (attempt, buf)
-                    }
+                .run(&mut lineage, US, |attempt| {
+                    // Speculative evaluation: unmet deps here are not
+                    // observed violations (effects are confined).
+                    checker.checkpoint_speculative("reader:feed", &snapshot, US);
+                    render(cell.feed.clone(), "feed-p1", attempt)
                 })
                 .await
                 .unwrap();
@@ -515,29 +509,144 @@ mod tests {
         });
     }
 
+    /// The confirmation budget counts from the instant the blocking budget
+    /// elapsed, and the remainder is enforced *while* the handler runs: with
+    /// 8 s replication, a 200 ms budget and a 6 s confirmation budget, the
+    /// confirmation gives up at ≈ 6.2 s whatever the handler does. Awaiting
+    /// the re-armed barrier only after a 3 s handler would stretch the
+    /// window to ≈ 9.2 s and confirm instead.
+    #[test]
+    fn confirmation_budget_counts_from_budget_expiry_not_handler_end() {
+        let cell = setup(5, slow_profile());
+        let spec = Speculator::new(cell.ap.clone(), policy(200, 6));
+        let sim = cell.sim.clone();
+        sim.block_on(async move {
+            let mut lineage = write_post(&cell).await;
+            let out = spec
+                .run(&mut lineage, US, |attempt| {
+                    let feed = cell.feed.clone();
+                    let sim = cell.sim.clone();
+                    async move {
+                        sim.sleep(Duration::from_secs(3)).await;
+                        render(feed, "feed-p1", attempt).await
+                    }
+                })
+                .await
+                .unwrap();
+            assert!(
+                matches!(
+                    out,
+                    SpecOutcome::RolledBack {
+                        value: 1,
+                        discarded: 1,
+                        ..
+                    }
+                ),
+                "6 s of confirmation from t ≈ 0.2 s cannot see an 8 s write, got {out:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn fast_dependencies_complete_without_speculating() {
+        let cell = setup(6, fast_profile());
+        let spec = Speculator::new(cell.ap.clone(), policy(500, 30));
+        let sim = cell.sim.clone();
+        sim.block_on(async move {
+            let mut lineage = write_post(&cell).await;
+            let out = spec
+                .run(&mut lineage, US, |attempt| {
+                    render(cell.feed.clone(), "feed-p1", attempt)
+                })
+                .await
+                .unwrap();
+            assert!(matches!(out, SpecOutcome::Blocking { value: 0, .. }));
+            let stats = spec.stats();
+            assert_eq!(stats.speculated, 0);
+            assert_eq!(stats.fell_back, 0);
+        });
+    }
+
+    /// Runs one request with two barrier attempts per dependency against a
+    /// reader-side replica crash over `[1 s, crash_until)`. The crash fails
+    /// the confirmation's parked wait at 1 s and its one retry at 1.1 s — a
+    /// hard barrier error, which is a violation, not an error of `run`. The
+    /// redelivery barrier then fails at 1.1 s and retries once, at 1.2 s.
+    fn run_through_crash(
+        seed: u64,
+        crash_until: SimTime,
+    ) -> (Cell, Result<SpecOutcome<u32>, SpecError>) {
+        let cell = setup(seed, slow_profile());
+        cell.sim.faults().schedule(
+            SimTime::from_secs(1),
+            crash_until,
+            FaultKind::ReplicaCrash {
+                store: "post-s3".into(),
+                region: US,
+            },
+        );
+        let ap = cell.ap.clone().with_retry(antipode::BarrierRetry {
+            max_attempts: 2,
+            ..antipode::BarrierRetry::default()
+        });
+        let spec = Speculator::new(ap, policy(200, 60));
+        let sim = cell.sim.clone();
+        sim.block_on(async move {
+            let mut lineage = write_post(&cell).await;
+            let out = spec
+                .run(&mut lineage, US, |attempt| {
+                    render(cell.feed.clone(), "feed-p1", attempt)
+                })
+                .await;
+            (cell, out)
+        })
+    }
+
+    #[test]
+    fn hard_confirmation_failure_is_a_violation_not_an_error() {
+        // The crash heals at 1.15 s: the redelivery's retry rides it out.
+        let (cell, out) = run_through_crash(7, SimTime::from_millis(1150));
+        assert!(
+            matches!(
+                out,
+                Ok(SpecOutcome::RolledBack {
+                    value: 1,
+                    discarded: 1,
+                    ..
+                })
+            ),
+            "an exhausted confirmation must roll back and redeliver, got {out:?}"
+        );
+        let stored = cell.feed.store().get_sync(US, "feed-p1").unwrap();
+        assert_eq!(stored.version, 1, "only the redelivery's write landed");
+    }
+
+    #[test]
+    fn redelivery_exhausting_its_retries_surfaces_the_barrier_error() {
+        // The crash outlasts the redelivery's retry too.
+        let (cell, out) = run_through_crash(8, SimTime::from_secs(20));
+        assert!(matches!(out, Err(SpecError::Barrier(_))), "got {out:?}");
+        assert!(cell.feed.store().get_sync(US, "feed-p1").is_none());
+        assert_eq!(cell.feed.store().wal_len(US), 0, "nothing was committed");
+    }
+
     #[test]
     fn kill_switch_degrades_to_blocking_barriers() {
         let cell = setup(3, slow_profile());
-        let spec = Speculator::new(cell.ap.clone(), policy(200, 60));
-        spec.set_enabled(false);
-        assert!(!spec.enabled());
+        let spec = Speculator::new(
+            cell.ap.clone(),
+            SpeculationPolicy {
+                enabled: false,
+                ..policy(200, 60)
+            },
+        );
         let sim = cell.sim.clone();
         sim.block_on(async move {
-            let mut lineage = Lineage::new(LineageId(1));
-            cell.post
-                .write(EU, "p1", Bytes::from_static(b"post"), &mut lineage)
-                .await
-                .unwrap();
+            let mut lineage = write_post(&cell).await;
             let t0 = cell.sim.now();
-            let feed = cell.feed.clone();
             let out = spec
-                .run(&mut lineage, US, |_| {
-                    let feed = feed.clone();
-                    async move {
-                        let mut buf = ConfinementBuffer::new();
-                        buf.confine_write(&feed, US, "feed-p1", Bytes::new());
-                        ((), buf)
-                    }
+                .run(&mut lineage, US, |attempt| {
+                    render(cell.feed.clone(), "feed-p1", attempt)
                 })
                 .await
                 .unwrap();
@@ -562,52 +671,32 @@ mod tests {
             },
         );
         let sim = cell.sim.clone();
-        let post = cell.post.clone();
         let feed = cell.feed.clone();
-        let ap = cell.ap.clone();
         sim.block_on(async move {
-            let mut shared = Lineage::new(LineageId(1));
-            post.write(EU, "p1", Bytes::from_static(b"post"), &mut shared)
-                .await
-                .unwrap();
-            // First request opens the single allowed frontier.
+            let mut shared = write_post(&cell).await;
+            // First request opens the single allowed speculation.
             let s1 = spec.clone();
             let f1 = feed.clone();
-            let l1 = shared.clone();
-            let sim2 = ap.sim().clone();
-            sim2.spawn(async move {
-                let mut l = l1;
-                let out = s1
-                    .run(&mut l, US, |_| {
-                        let f1 = f1.clone();
-                        async move {
-                            let mut buf = ConfinementBuffer::new();
-                            buf.confine_write(&f1, US, "feed-a", Bytes::new());
-                            ((), buf)
-                        }
-                    })
+            let mut l1 = shared.clone();
+            let first = cell.sim.spawn(async move {
+                s1.run(&mut l1, US, |attempt| render(f1.clone(), "feed-a", attempt))
                     .await
-                    .unwrap();
-                assert!(out.speculated());
+                    .unwrap()
+                    .speculated()
             });
-            // Give the first request time to open its frontier.
-            ap.sim().sleep(Duration::from_millis(500)).await;
+            // Give the first request time to start speculating.
+            cell.sim.sleep(Duration::from_millis(500)).await;
             assert_eq!(spec.open_frontiers(), 1);
             // Second request hits the cap: blocking fallback.
             let out = spec
-                .run(&mut shared, US, |_| {
-                    let feed = feed.clone();
-                    async move {
-                        let mut buf = ConfinementBuffer::new();
-                        buf.confine_write(&feed, US, "feed-b", Bytes::new());
-                        ((), buf)
-                    }
+                .run(&mut shared, US, |attempt| {
+                    render(feed.clone(), "feed-b", attempt)
                 })
                 .await
                 .unwrap();
             assert!(matches!(out, SpecOutcome::Blocking { .. }));
             assert_eq!(spec.stats().fell_back, 1);
+            assert!(first.await, "the request under the cap speculated");
         });
-        sim.run();
     }
 }

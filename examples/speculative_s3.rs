@@ -1,14 +1,15 @@
 //! The speculation plane, end to end on the Table-1 worst case (S3 post
 //! storage with its heavy-tailed cross-region replication):
 //!
-//! 1. **Speculate → confirm.** A Reader's barrier gives up blocking after a
-//!    500 ms budget and opens a speculation frontier. The handler runs
-//!    immediately — its feed write parked in a `ConfinementBuffer` — and
-//!    when S3's ≈ 15 s replication finally lands, the frontier confirms and
-//!    the buffer commits atomically.
+//! 1. **Speculate → confirm.** A Reader's budgeted barrier gives up after
+//!    500 ms with the post still unmet. The `Speculator` re-arms the
+//!    remainder in the background and runs the handler immediately — its
+//!    feed write parked in a `ConfinementBuffer` — and when S3's ≈ 15 s
+//!    replication finally lands, the re-armed barrier completes and the
+//!    buffer commits.
 //! 2. **Speculate → violate → rollback → redeliver.** The reader-side S3
 //!    replica crashes for 60 s. The next speculation's confirmation budget
-//!    (20 s) expires first: the frontier resolves *violated*, the confined
+//!    (20 s) expires first: the speculation is *violated*, the confined
 //!    write is discarded (nothing ever reached the store), and the handler
 //!    is redelivered behind an unbounded blocking barrier that rides out
 //!    the crash via the recovery plane.
@@ -22,7 +23,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use antipode::{Antipode, ConsistencyChecker, Lineage, LineageId, SpeculationConfig};
+use antipode::{Antipode, ConsistencyChecker, Lineage, LineageId};
 use antipode_runtime::{SpecOutcome, SpeculationPolicy, Speculator};
 use antipode_sim::net::regions::{EU, US};
 use antipode_sim::{FaultKind, Network, Sim, SimTime};
@@ -50,20 +51,14 @@ fn main() {
     let patient = Speculator::new(
         ap.clone(),
         SpeculationPolicy {
-            barrier: SpeculationConfig {
-                budget: Duration::from_millis(500),
-                confirm_budget: Duration::from_secs(60),
-            },
+            confirm_budget: Duration::from_secs(60),
             ..SpeculationPolicy::default()
         },
     );
     let impatient = Speculator::new(
         ap.clone(),
         SpeculationPolicy {
-            barrier: SpeculationConfig {
-                budget: Duration::from_millis(500),
-                confirm_budget: Duration::from_secs(20),
-            },
+            confirm_budget: Duration::from_secs(20),
             ..SpeculationPolicy::default()
         },
     );
